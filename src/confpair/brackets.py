@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from .errors import ValidationError
 from .lincombo import LinCombo
-from .trees import Forest, Tree, sort_trees_with_parity
+from .normalize import eps
+from .trees import Forest, Tree, _node_size, sort_trees_with_parity
 
 
 def var(i):
@@ -90,25 +91,13 @@ def substitute(e, i, replacement):
 # ---------------------------------------------------------------------------
 # reduction to forests
 
-def _eps(exponent, d):
-    """(-1)^(exponent * (d-1))."""
-    return -1 if (exponent * (d - 1)) % 2 else 1
-
-
-def _node_brackets(node):
-    # internal vertex count of a tree node
-    if isinstance(node, int):
-        return 0
-    return _node_brackets(node[0]) + _node_brackets(node[1]) + 1
-
-
 def _monomial_brackets(trees):
-    return sum(_node_brackets(t) for t in trees)
+    return sum(_node_size(t) for t in trees)
 
 
 def _flip_sign(bu, bw, d):
     """Sign of [U, W] -> [W, U]: -(-1)^((bu+1)(bw+1)(d-1))."""
-    return -_eps((bu + 1) * (bw + 1), d)
+    return -eps((bu + 1) * (bw + 1), d)
 
 
 def _bracket_monomials(u_trees, w_trees, d):
@@ -123,7 +112,7 @@ def _bracket_monomials(u_trees, w_trees, d):
         for c, trees in _bracket_monomials(u_trees, (y,), d):
             out.append((c, trees + z))
         # sign * Y.[X, Z]
-        s = _eps((bu + 1) * _node_brackets(y), d)
+        s = eps((bu + 1) * _node_size(y), d)
         for c, trees in _bracket_monomials(u_trees, z, d):
             out.append((s * c, (y,) + trees))
         return out
@@ -164,7 +153,7 @@ def reduce_expr(e, d: int) -> LinCombo:
     for coeff, tree_nodes in _reduce_monomials(e, d):
         trees = tuple(Tree(t) for t in tree_nodes)
         ordered, parity = sort_trees_with_parity(trees)
-        sign = _eps(parity, d)
+        sign = eps(parity, d)
         out = out + LinCombo.single(Forest(ordered, n), coeff * sign)
     return out
 

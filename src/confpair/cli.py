@@ -1,13 +1,14 @@
 """Command-line surface.
 
 Subcommands: pair, normalize, compose, cooperad, gram, ranks, enumerate,
-verify, geom-check.  Global flags live on every subcommand: --d (integer
-dimension, >= 2; signs only use its parity but rank tables use the true
-degrees k(d-1)), --format text|json, --cache-dir, --seed.
+verify, duality, geom-check.  Global flags live on every subcommand: --d
+(integer dimension, >= 2; signs only use its parity but rank tables use
+the true degrees k(d-1)), --format text|json, --cache-dir, --seed.
+--cache-dir is accepted for compatibility and ignored: every result is
+recomputed, nothing is read from or written to disk.
 
 Exit codes: 0 success, 1 parse error, 2 validation error, 3 a structural
-verification failed.  Output is byte-deterministic for fixed (argv, seed);
-caches only change timing.
+verification failed.  Output is byte-deterministic for fixed (argv, seed).
 """
 
 from __future__ import annotations
@@ -30,17 +31,27 @@ from .trees import enumerate_tall_forests, forest_to_json, parse_forest, render_
 
 def _parse_combo(text, parse_element):
     terms = []
-    for raw in text.splitlines():
+    pos = 0
+    for raw in text.splitlines(keepends=True):
+        line_start, pos = pos, pos + len(raw)
         line = raw.strip()
         if not line:
             continue
         if "*" in line:
             coeff_text, element_text = line.split("*", 1)
-            coeff = int(coeff_text.strip())
+            coeff = _parse_number(int, coeff_text, text, line_start + raw.find(line))
         else:
             coeff, element_text = 1, line
         terms.append((parse_element(element_text.strip()), coeff))
     return LinCombo(terms)
+
+
+def _parse_number(kind, chunk, text, pos):
+    """kind(chunk), or a ParseError pointing at pos in text."""
+    try:
+        return kind(chunk)
+    except ValueError:
+        raise ParseError(f"expected a number, got {chunk.strip()!r}", text, pos) from None
 
 
 def _combo_lines(combo, render_element):
@@ -110,7 +121,7 @@ def cmd_cooperad(args):
 
 
 def cmd_gram(args):
-    gm = gram_matrix(args.n, args.k, args.d, cache_dir=args.cache_dir)
+    gm = gram_matrix(args.n, args.k, args.d)
     lines = [" ".join(f"{v:2d}" for v in row) for row in gm.entries]
     payload = {"n": gm.n, "k": gm.k, "parity": gm.parity,
                "identity": gm.is_identity(),
@@ -122,7 +133,7 @@ def cmd_gram(args):
 
 
 def cmd_ranks(args):
-    table = rank_table(args.n, args.d, cache_dir=args.cache_dir)
+    table = rank_table(args.n, args.d)
     rows = table.csv_rows()
     lines = ["degree,rank"] + [f"{deg},{q}" for deg, q in rows]
     payload = {"n": table.n, "d": table.d,
@@ -142,7 +153,7 @@ def cmd_enumerate(args):
 
 
 def cmd_verify(args):
-    report = verify_perfect(args.n, args.d, cache_dir=args.cache_dir)
+    report = verify_perfect(args.n, args.d)
     lines = [
         f"k={r.k}: size {r.size} identity {r.identity}" for r in report.degrees
     ] + [f"first degree: size {report.first_degree_size} "
@@ -173,7 +184,10 @@ def cmd_geom_check(args):
     if g is None:
         from .graphs import parse_edges
         g = parse_edges(args.graph, f.n)
-    eps_list = [float(e) for e in args.eps.split(",")]
+    eps_list, pos = [], 0
+    for chunk in args.eps.split(","):
+        eps_list.append(_parse_number(float, chunk, args.eps, pos))
+        pos += len(chunk) + 1
     report = limit_check(f, g, args.d, eps_list, seed=args.seed,
                          samples=args.samples)
     lines = [
@@ -187,7 +201,8 @@ def cmd_geom_check(args):
 def _add_common(p):
     p.add_argument("--d", type=int, default=3, help="ambient dimension, >= 2")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--cache-dir", default=None)
+    p.add_argument("--cache-dir", default=None,
+                   help="accepted for compatibility and ignored; nothing is cached")
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -270,6 +285,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.d < 2:
+            raise ValidationError("d must be >= 2")
         return args.fn(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

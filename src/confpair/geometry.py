@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graphs import Graph, render_graph
-from .trees import Forest, render_forest
+from .trees import LEFT, Forest, nadir, render_forest
 
 UNIT_TOL = 1e-12
 
@@ -154,20 +154,18 @@ def limit_check(f: Forest, g: Graph, d: int, eps_list, seed: int = 0,
         per_edge = []
         for i, j in g.edges:
             ti, pi = f.leaf_info[i]
-            tj, pj = f.leaf_info[j]
+            tj, _ = f.leaf_info[j]
+            v = nadir(f, i, j)
             worst = 0.0
             for u in us:
                 x = eval_system(f, eps, u, d)
                 direction = alpha(x, j, i)
-                if ti != tj:
+                if v is None:
                     predicted = np.zeros(d)
                     predicted[0] = 1.0 if ti > tj else -1.0
                 else:
-                    c = 0
-                    while pi[c] == pj[c]:
-                        c += 1
-                    sigma = 1.0 if pi[c] == 0 else -1.0
-                    predicted = sigma * u[f.vertex_index[(ti, pi[:c])]]
+                    sigma = 1.0 if pi[len(v[1])] == LEFT else -1.0
+                    predicted = sigma * u[f.vertex_index[v]]
                 worst = max(worst, float(np.linalg.norm(direction - predicted)))
             per_edge.append({"edge": [i, j], "deviation": worst})
         per_eps.append({

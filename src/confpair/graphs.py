@@ -112,7 +112,9 @@ def graph_of_ordered_partition(p: OrderedPartition, n=None) -> Graph:
 
 def enumerate_long_graphs(n, k):
     """All long n-graphs with k edges, aligned with enumerate_tall_forests."""
-    if not 0 <= k <= max(n - 1, 0):
+    if n < 1:
+        raise ValidationError("n must be >= 1")
+    if not 0 <= k <= n - 1:
         raise ValidationError(f"degree k={k} out of range for n={n}")
     out = []
     for p in iter_ordered_partitions(n):

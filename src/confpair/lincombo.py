@@ -80,13 +80,6 @@ class LinCombo:
         result.terms = {key: scalar * coeff for key, coeff in self.terms.items()}
         return result
 
-    def map_basis(self, fn):
-        """Apply fn: basis element -> LinCombo, extended linearly."""
-        out = LinCombo.zero()
-        for key, coeff in self.terms.items():
-            out = out + coeff * fn(key)
-        return out
-
     def __repr__(self):
         if not self.terms:
             return "LinCombo(0)"

@@ -30,7 +30,7 @@ from __future__ import annotations
 from .errors import ValidationError
 from .graphs import Graph
 from .lincombo import LinCombo
-from .trees import Forest, Tree, sort_trees_with_parity
+from .trees import Forest, Tree, _node_size, inversion_parity, sort_trees_with_parity
 
 
 def eps(exponent: int, d: int) -> int:
@@ -62,12 +62,6 @@ def _node_min(node):
     if isinstance(node, int):
         return node
     return min(_node_min(node[0]), _node_min(node[1]))
-
-
-def _node_size(node):
-    if isinstance(node, int):
-        return 0
-    return _node_size(node[0]) + _node_size(node[1]) + 1
 
 
 def _combine(a_node, b_node, d) -> LinCombo:
@@ -146,67 +140,36 @@ def normalize_pois(x, d: int) -> LinCombo:
 # ---------------------------------------------------------------------------
 # graph side
 
-def _component_data(n, edges):
-    """Undirected components: list of (vertex set, edge indices)."""
-    adj = {v: [] for v in range(1, n + 1)}
-    for idx, (i, j) in enumerate(edges):
-        adj[i].append((j, idx))
-        adj[j].append((i, idx))
-    seen = set()
-    comps = []
-    for start in range(1, n + 1):
-        if start in seen:
-            continue
-        stack, verts, eidx = [start], set(), set()
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            verts.add(v)
-            for w, idx in adj[v]:
-                eidx.add(idx)
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append((verts, eidx))
-    return comps
+def _orient_away(g: Graph):
+    """Reorient each edge of g away from its component minimum.
 
-
-def _orient_away(n, edges):
-    """Reorient each edge away from its component minimum.
-
-    Returns (new edges, flip count) or None when some component has a cycle.
+    Returns (new edges, flip count) or None when some component has a cycle
+    or a repeated vertex pair (a forest has exactly n - #components edges).
     """
-    comps = _component_data(n, edges)
+    if len(g.edges) > g.n - len(g.components):
+        return None
+    adj = {v: [] for v in range(1, g.n + 1)}
+    for i, j in g.edges:
+        adj[i].append(j)
+        adj[j].append(i)
     parent = {}
-    for verts, eidx in comps:
-        if len(eidx) > len(verts) - 1:
-            return None
-        root = min(verts)
-        adj = {v: [] for v in verts}
-        for idx in eidx:
-            i, j = edges[idx]
-            adj[i].append(j)
-            adj[j].append(i)
-        parent[root] = None
-        stack = [root]
-        visited = {root}
+    for comp in g.components:
+        stack = [comp[0]]  # components are sorted tuples: comp[0] is the minimum
+        parent[comp[0]] = None
         while stack:
             v = stack.pop()
             for w in adj[v]:
-                if w not in visited:
-                    visited.add(w)
+                if w not in parent:
                     parent[w] = v
                     stack.append(w)
     flips = 0
     oriented = []
-    for i, j in edges:
-        if parent.get(j) == i:
+    for i, j in g.edges:
+        if parent[j] == i:
             oriented.append((i, j))
-        elif parent.get(i) == j:
+        else:
             oriented.append((j, i))
             flips += 1
-        else:
-            return None  # extra edge closing a cycle
     return tuple(oriented), flips
 
 
@@ -225,7 +188,7 @@ def _find_branch(edges):
     return v, a, pa, b, pb
 
 
-def _long_order(n, edges):
+def _long_order(edges):
     """Edge permutation parity from `edges` to canonical chain order."""
     succ = dict(edges)
     starts = sorted(set(succ) - set(succ.values()))
@@ -238,18 +201,14 @@ def _long_order(n, edges):
     index = {}
     for pos, e in enumerate(edges):
         index[e] = pos
-    seq = [index[e] for e in target]
-    inv = sum(
-        1 for x in range(len(seq)) for y in range(x + 1, len(seq)) if seq[x] > seq[y]
-    )
-    return tuple(target), inv % 2
+    return tuple(target), inversion_parity([index[e] for e in target])
 
 
 def normalize_graph(g: Graph, d: int) -> LinCombo:
     pairs = [frozenset(e) for e in g.edges]
     if len(set(pairs)) != len(pairs):
         return LinCombo.zero()
-    oriented = _orient_away(g.n, g.edges)
+    oriented = _orient_away(g)
     if oriented is None:
         return LinCombo.zero()
     edges, flips = oriented
@@ -260,7 +219,7 @@ def normalize_graph(g: Graph, d: int) -> LinCombo:
         sign, edges = work.pop()
         branch = _find_branch(edges)
         if branch is None:
-            target, parity = _long_order(g.n, edges)
+            target, parity = _long_order(edges)
             out = out + LinCombo.single(
                 Graph(g.n, target), sign * reversal_sign(0, parity, d))
             continue

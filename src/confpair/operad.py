@@ -31,6 +31,7 @@ first; check_duality verifies this case by case.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 
 from .brackets import forest_to_expr, reduce_expr, relabel_expr, substitute
@@ -40,7 +41,8 @@ from .lincombo import LinCombo
 from .normalize import eps, normalize_pois
 from .otrees import LEAF, OTree, leaf_nadir, render_otree
 from .pairing import pair_basis
-from .trees import Forest, enumerate_tall_forests, render_forest, vertices_before_leaf
+from .trees import (Forest, enumerate_tall_forests, inversion_parity, render_forest,
+                    vertices_before_leaf)
 
 
 def compose_basis(f1: Forest, i: int, f2: Forest, d: int) -> LinCombo:
@@ -84,12 +86,6 @@ class CooperadOutput:
         }
 
 
-def _perm_parity(seq):
-    return sum(
-        1 for a in range(len(seq)) for b in range(a + 1, len(seq)) if seq[a] > seq[b]
-    ) % 2
-
-
 def cooperad(g: Graph, tau: OTree, d: int) -> CooperadOutput:
     """Split g along tau; each edge lands at the nadir vertex of its leaves."""
     if g.n != tau.n_leaves:
@@ -112,7 +108,7 @@ def cooperad(g: Graph, tau: OTree, d: int) -> CooperadOutput:
     for v in placements:
         concat_pos.append(offsets[v] + counters[v])
         counters[v] += 1
-    sign = (-1) ** _perm_parity(concat_pos) if (d - 1) % 2 else 1
+    sign = (-1) ** inversion_parity(concat_pos) if (d - 1) % 2 else 1
     factors = tuple(Graph(tau.arity(v), tuple(factor_edges[v])) for v in vertices)
     return CooperadOutput(sign, vertices, factors)
 
@@ -184,104 +180,77 @@ class DualityReport:
         }
 
 
-def check_duality(tau: OTree, d: int, max_cases=None) -> DualityReport:
-    """Exhaustively compare the two routes over basis tuples and long graphs."""
+def _duality_bases(tau: OTree):
+    """Site positions, outer basis, inner bases per site, long graphs per degree."""
     sites = two_level_sites(tau)
     r = len(tau.node)
-    n_total = tau.n_leaves
-    site_positions = [pos for pos, _ in sites]
-
     outer_basis = [f for k in range(r) for f in enumerate_tall_forests(r, k)]
     inner_bases = {
         pos: [f for k in range(m) for f in enumerate_tall_forests(m, k)]
         for pos, m in sites
     }
+    n_total = tau.n_leaves
+    graphs_by_degree = {k: enumerate_long_graphs(n_total, k) for k in range(n_total)}
+    return [pos for pos, _ in sites], outer_basis, inner_bases, graphs_by_degree
 
-    vertices = tau.internal_vertices
-    site_of_vertex = {}
-    for v in vertices:
-        if v == ():
-            continue
-        site_of_vertex[v] = v[0] + 1  # two-level: path = (input position,)
 
-    cases = 0
+def _degree(f0, inner):
+    return f0.size + sum(f.size for f in inner.values())
+
+
+def _check_cases(tau: OTree, d: int, cases) -> DualityReport:
+    """Compare the two routes on each (f0, inner, graphs) case group.
+
+    One composition serves every graph of its group; each graph is a case.
+    """
+    # two-level: a non-root vertex's path is (input position,)
+    site_of_vertex = {v: v[0] + 1 for v in tau.internal_vertices if v != ()}
+    checked = 0
     failures = []
-    graphs_by_degree = {
-        k: enumerate_long_graphs(n_total, k) for k in range(n_total)
-    }
-    for f0 in outer_basis:
-        for picked in itertools.product(*(inner_bases[pos] for pos in site_positions)):
-            inner = dict(zip(site_positions, picked))
-            inner_total = sum(f.size for f in inner.values())
-            total = f0.size + inner_total
-            if total >= n_total:
-                continue
-            composed = compose_along(tau, f0, inner, d)
-            koszul = eps(f0.size * inner_total, d)
-            for g in graphs_by_degree[total]:
-                res = cooperad(g, tau, d)
-                lhs = res.sign * koszul
-                for v, factor in zip(res.vertices, res.factors):
-                    if lhs == 0:
-                        break
-                    if v == ():
-                        lhs *= pair_basis(factor, f0, d).value
-                    else:
-                        lhs *= pair_basis(factor, inner[site_of_vertex[v]], d).value
-                rhs = sum(
-                    c * pair_basis(g, f, d).value for f, c in composed
-                )
-                cases += 1
-                if lhs != rhs:
-                    failures.append({
-                        "graph": g, "outer": f0, "inner": inner,
-                        "lhs": lhs, "rhs": rhs,
-                    })
-                if max_cases and cases >= max_cases:
-                    return DualityReport(render_otree(tau), d, cases, failures)
-    return DualityReport(render_otree(tau), d, cases, failures)
+    for f0, inner, graphs in cases:
+        composed = compose_along(tau, f0, inner, d)
+        koszul = eps(f0.size * sum(f.size for f in inner.values()), d)
+        for g in graphs:
+            res = cooperad(g, tau, d)
+            lhs = res.sign * koszul
+            for v, factor in zip(res.vertices, res.factors):
+                if lhs == 0:
+                    break
+                fv = f0 if v == () else inner[site_of_vertex[v]]
+                lhs *= pair_basis(factor, fv, d).value
+            rhs = sum(c * pair_basis(g, f, d).value for f, c in composed)
+            checked += 1
+            if lhs != rhs:
+                failures.append({"graph": g, "outer": f0, "inner": inner,
+                                 "lhs": lhs, "rhs": rhs})
+    return DualityReport(render_otree(tau), d, checked, failures)
+
+
+def check_duality(tau: OTree, d: int) -> DualityReport:
+    """Exhaustively compare the two routes over basis tuples and long graphs."""
+    positions, outer_basis, inner_bases, graphs_by_degree = _duality_bases(tau)
+
+    def cases():
+        for f0 in outer_basis:
+            for picked in itertools.product(*(inner_bases[pos] for pos in positions)):
+                inner = dict(zip(positions, picked))
+                yield f0, inner, graphs_by_degree[_degree(f0, inner)]
+    return _check_cases(tau, d, cases())
 
 
 def sample_duality(tau: OTree, d: int, trials: int = 200, seed: int = 0) -> DualityReport:
     """Randomized duality spot-check for trees too large to exhaust."""
-    import random
-
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
+    positions, outer_basis, inner_bases, graphs_by_degree = _duality_bases(tau)
     rng = random.Random(seed)
-    sites = two_level_sites(tau)
-    r = len(tau.node)
-    n_total = tau.n_leaves
-    site_positions = [pos for pos, _ in sites]
-    outer_basis = [f for k in range(r) for f in enumerate_tall_forests(r, k)]
-    inner_bases = {
-        pos: [f for k in range(m) for f in enumerate_tall_forests(m, k)]
-        for pos, m in sites
-    }
-    graphs_by_degree = {k: enumerate_long_graphs(n_total, k) for k in range(n_total)}
-    site_of_vertex = {v: v[0] + 1 for v in tau.internal_vertices if v != ()}
 
-    cases = 0
-    failures = []
-    for _ in range(trials):
-        f0 = rng.choice(outer_basis)
-        inner = {pos: rng.choice(inner_bases[pos]) for pos in site_positions}
-        inner_total = sum(f.size for f in inner.values())
-        total = f0.size + inner_total
-        composed = compose_along(tau, f0, inner, d)
-        koszul = eps(f0.size * inner_total, d)
-        g = rng.choice(graphs_by_degree[total])
-        res = cooperad(g, tau, d)
-        lhs = res.sign * koszul
-        for v, factor in zip(res.vertices, res.factors):
-            if lhs == 0:
-                break
-            fv = f0 if v == () else inner[site_of_vertex[v]]
-            lhs *= pair_basis(factor, fv, d).value
-        rhs = sum(c * pair_basis(g, f, d).value for f, c in composed)
-        cases += 1
-        if lhs != rhs:
-            failures.append({"graph": g, "outer": f0, "inner": inner,
-                             "lhs": lhs, "rhs": rhs})
-    return DualityReport(render_otree(tau), d, cases, failures)
+    def cases():
+        for _ in range(trials):
+            f0 = rng.choice(outer_basis)
+            inner = {pos: rng.choice(inner_bases[pos]) for pos in positions}
+            yield f0, inner, [rng.choice(graphs_by_degree[_degree(f0, inner)])]
+    return _check_cases(tau, d, cases())
 
 
 def all_two_level_trees(n_total: int):

@@ -19,33 +19,20 @@ polynomial rank table, and the perfect-pairing verifier live here too.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
 from .graphs import Graph, enumerate_long_graphs, render_graph
 from .lincombo import LinCombo
-from .trees import Forest, Tree, enumerate_tall_forests, render_forest, single_tree_forest
-
-CACHE_SCHEMA = 1
+from .trees import (Forest, Tree, enumerate_tall_forests, inversion_parity, render_forest,
+                    single_tree_forest)
 
 
 @dataclass(frozen=True)
 class PairingResult:
     value: int
     beta_witness: tuple | None = None  # ((edge, (tree_idx, path)), ...) when bijective
-
-
-def _perm_sign(seq):
-    inv = 0
-    for a in range(len(seq)):
-        for b in range(a + 1, len(seq)):
-            if seq[a] > seq[b]:
-                inv += 1
-    return -1 if inv % 2 else 1
 
 
 def pair_basis(g: Graph, f: Forest, d: int) -> PairingResult:
@@ -71,7 +58,7 @@ def pair_basis(g: Graph, f: Forest, d: int) -> PairingResult:
     if len(set(verts)) != len(verts):
         return PairingResult(0)
     positions = [f.vertex_index[v] for v in verts]
-    value = (sigma if d % 2 else 1) * (_perm_sign(positions) if d % 2 == 0 else 1)
+    value = sigma if d % 2 else (-1 if inversion_parity(positions) else 1)
     return PairingResult(value, tuple(zip(g.edges, verts)))
 
 
@@ -123,59 +110,18 @@ def parity_name(d: int) -> str:
     return "even" if d % 2 == 0 else "odd"
 
 
-def gram_matrix(n: int, k: int, d: int, cache_dir=None) -> GramMatrix:
+def gram_matrix(n: int, k: int, d: int) -> GramMatrix:
     """Pairing matrix over enumerate_long_graphs x enumerate_tall_forests.
 
     Rows and columns are both in canonical (ordered partition) order, so the
-    Kronecker property of the pairing makes this the identity.  Cached to
-    disk per (n, k, parity) when cache_dir is given; a schema mismatch
-    triggers recomputation, never migration.
+    Kronecker property of the pairing makes this the identity.
     """
-    parity = parity_name(d)
     graphs = enumerate_long_graphs(n, k)
     forests = enumerate_tall_forests(n, k)
-    cached = _cache_load(cache_dir, _gram_cache_name(n, k, parity))
-    if cached is not None and cached.get("schema") == CACHE_SCHEMA:
-        entries = tuple(tuple(row) for row in cached["entries"])
-        return GramMatrix(n, k, parity, entries, graphs, forests)
     entries = tuple(
         tuple(pair_basis(g, f, d).value for f in forests) for g in graphs
     )
-    _cache_store(cache_dir, _gram_cache_name(n, k, parity), {
-        "schema": CACHE_SCHEMA, "n": n, "k": k, "parity": parity,
-        "entries": [list(row) for row in entries],
-    })
-    return GramMatrix(n, k, parity, entries, graphs, forests)
-
-
-def _gram_cache_name(n, k, parity):
-    return f"gram_n{n}_k{k}_{parity}.json"
-
-
-def _cache_load(cache_dir, name):
-    if cache_dir is None:
-        return None
-    path = os.path.join(cache_dir, name)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
-
-
-def _cache_store(cache_dir, name, payload):
-    if cache_dir is None:
-        return
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, name)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-        os.replace(tmp, path)  # atomic on POSIX
-    except OSError:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    return GramMatrix(n, k, parity_name(d), entries, graphs, forests)
 
 
 # ---------------------------------------------------------------------------
@@ -212,20 +158,12 @@ def poincare_coefficients(n: int):
     return tuple(coeffs)
 
 
-def rank_table(n: int, d: int, cache_dir=None) -> RankTable:
+def rank_table(n: int, d: int) -> RankTable:
     if n < 1:
         raise ValidationError("n must be >= 1")
     if d < 2:
         raise ValidationError("d must be >= 2")
-    name = f"ranks_n{n}.json"
-    cached = _cache_load(cache_dir, name)
-    if cached is not None and cached.get("schema") == CACHE_SCHEMA:
-        coeffs = tuple(cached["coefficients"])
-    else:
-        coeffs = poincare_coefficients(n)
-        _cache_store(cache_dir, name, {
-            "schema": CACHE_SCHEMA, "n": n, "coefficients": list(coeffs),
-        })
+    coeffs = poincare_coefficients(n)
     assert sum(coeffs) == math.factorial(n)
     return RankTable(n, d, coeffs)
 
@@ -279,7 +217,7 @@ def first_degree_bases(n):
     return graphs, forests
 
 
-def verify_perfect(n: int, d: int, pair_fn=None, cache_dir=None) -> PerfectReport:
+def verify_perfect(n: int, d: int, pair_fn=None) -> PerfectReport:
     """Check the Gram identity in every degree plus the first-degree structure.
 
     pair_fn exists so tests can inject a corrupted sign convention as a
@@ -295,7 +233,7 @@ def verify_perfect(n: int, d: int, pair_fn=None, cache_dir=None) -> PerfectRepor
         forests = enumerate_tall_forests(n, k)
         failures = []
         if pair_fn is None:
-            gm = gram_matrix(n, k, d, cache_dir=cache_dir)
+            gm = gram_matrix(n, k, d)
             failures = [(r, c, v) for r, c, v in gm.failures()]
         else:
             for r, g in enumerate(graphs):

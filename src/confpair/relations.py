@@ -15,7 +15,8 @@ from .errors import ValidationError
 from .graphs import Graph
 from .lincombo import LinCombo
 from .normalize import anti_sign, eps, jacobi_signs, reversal_sign
-from .trees import Forest, PlanarForest, Tree, sort_trees_with_parity
+from .trees import (Forest, PlanarForest, Tree, _node_size, inversion_parity,
+                    sort_trees_with_parity)
 
 
 def _replace_subtree(node, path, new_sub):
@@ -38,8 +39,7 @@ def antisymmetry_instance(f: Forest, tree_idx: int, path) -> "callable":
     if isinstance(sub, int):
         raise ValidationError("anti-symmetry needs an internal vertex")
     left, right = sub
-    a = Tree(left).size if not isinstance(left, int) else 0
-    b = Tree(right).size if not isinstance(right, int) else 0
+    a, b = _node_size(left), _node_size(right)
     swapped = _with_tree(f, tree_idx, _replace_subtree(f.trees[tree_idx].node, path, (right, left)))
 
     def instance(d):
@@ -54,7 +54,7 @@ def jacobi_instance(f: Forest, tree_idx: int, path):
     if isinstance(sub, int) or isinstance(sub[0], int):
         return None
     (t1, t2), t3 = sub
-    sizes = tuple(_size(t) for t in (t1, t2, t3))
+    sizes = tuple(_node_size(t) for t in (t1, t2, t3))
     variants = [((t1, t2), t3), ((t2, t3), t1), ((t3, t1), t2)]
     forests = [
         _with_tree(f, tree_idx, _replace_subtree(f.trees[tree_idx].node, path, v))
@@ -65,10 +65,6 @@ def jacobi_instance(f: Forest, tree_idx: int, path):
         signs = jacobi_signs(*sizes, d)
         return LinCombo(list(zip(forests, signs)))
     return instance
-
-
-def _size(node):
-    return 0 if isinstance(node, int) else Tree(node).size
 
 
 def commutativity_instance(trees, n):
@@ -117,13 +113,10 @@ def arrow_reversal_instance(g: Graph, flip_mask, perm):
     ]
     g2 = Graph(g.n, tuple(flipped[p] for p in perm))
     flips = sum(flip_mask)
-    inv = sum(
-        1 for x in range(len(perm)) for y in range(x + 1, len(perm))
-        if perm[x] > perm[y]
-    )
+    parity = inversion_parity(perm)
 
     def instance(d):
-        return LinCombo.single(g, 1) + LinCombo.single(g2, -reversal_sign(flips, inv % 2, d))
+        return LinCombo.single(g, 1) + LinCombo.single(g2, -reversal_sign(flips, parity, d))
     return instance
 
 

@@ -24,6 +24,13 @@ from .errors import ParseError, ValidationError
 LEFT, RIGHT = 0, 1
 
 
+def _node_size(node):
+    """Internal vertex count of a tree node."""
+    if isinstance(node, int):
+        return 0
+    return _node_size(node[0]) + _node_size(node[1]) + 1
+
+
 def _walk_leaves(node, out):
     if isinstance(node, int):
         out.append(node)
@@ -125,6 +132,16 @@ def tree_from_leaf_order(seq):
     return Tree(node)
 
 
+def inversion_parity(seq):
+    """Parity (0 or 1) of the number of inversions of a sequence."""
+    inv = 0
+    for a, x in enumerate(seq):
+        for y in seq[a + 1:]:
+            if x > y:
+                inv += 1
+    return inv % 2
+
+
 def sort_trees_with_parity(trees):
     """Sort trees by minimal leaf label.
 
@@ -149,6 +166,12 @@ class Forest:
     n: int
 
     def __post_init__(self):
+        self._check_partition()
+        mins = [t.min_label for t in self.trees]
+        if mins != sorted(mins):
+            raise ValidationError("forest trees not in canonical (min-label) order")
+
+    def _check_partition(self):
         seen = set()
         for t in self.trees:
             if seen & t.labels:
@@ -157,9 +180,6 @@ class Forest:
         if seen != set(range(1, self.n + 1)):
             raise ValidationError(
                 f"forest labels {sorted(seen)} do not partition 1..{self.n}")
-        mins = [t.min_label for t in self.trees]
-        if mins != sorted(mins):
-            raise ValidationError("forest trees not in canonical (min-label) order")
 
     @cached_property
     def size(self):
@@ -188,11 +208,6 @@ class Forest:
         return {v: i for i, v in enumerate(self.vertex_order)}
 
     @cached_property
-    def leaf_order(self):
-        """Global left-to-right leaf sequence."""
-        return tuple(lab for t in self.trees for lab in t.leaf_seq)
-
-    @cached_property
     def is_tall(self):
         return all(t.is_tall for t in self.trees)
 
@@ -208,14 +223,7 @@ class PlanarForest(Forest):
     """
 
     def __post_init__(self):
-        seen = set()
-        for t in self.trees:
-            if seen & t.labels:
-                raise ValidationError("forest trees share leaf labels")
-            seen |= t.labels
-        if seen != set(range(1, self.n + 1)):
-            raise ValidationError(
-                f"forest labels {sorted(seen)} do not partition 1..{self.n}")
+        self._check_partition()
 
 
 def forest(trees, n=None):
@@ -354,7 +362,9 @@ def enumerate_tall_forests(n, k):
     Canonical order: sorted by the associated ordered partition.  The count
     is the t^k coefficient of prod_{i=1}^{n-1} (1 + i t).
     """
-    if not 0 <= k <= max(n - 1, 0):
+    if n < 1:
+        raise ValidationError("n must be >= 1")
+    if not 0 <= k <= n - 1:
         raise ValidationError(f"degree k={k} out of range for n={n}")
     out = []
     for p in iter_ordered_partitions(n):

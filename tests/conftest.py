@@ -2,8 +2,6 @@
 
 import itertools
 
-import pytest
-
 from confpair.trees import Forest, Tree, forest
 
 
@@ -104,8 +102,3 @@ def random_graph_edges(rng, n, k):
             j = rng.randrange(1, n + 1)
         edges.append((i, j))
     return tuple(edges)
-
-
-@pytest.fixture
-def cache_dir(tmp_path):
-    return str(tmp_path / "cache")

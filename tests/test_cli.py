@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from confpair.cli import main
 
 
@@ -137,3 +139,53 @@ def test_cache_does_not_change_results(capsys, tmp_path):
     _, first, _ = run(capsys, cached_argv)
     _, second, _ = run(capsys, cached_argv)
     assert plain == first == second
+
+
+def test_cache_dir_is_ignored(capsys, tmp_path):
+    tampered = {"schema": 1, "n": 4, "k": 2, "parity": "even",
+                "entries": [[1 if r == c else 0 for c in range(11)] for r in range(11)]}
+    tampered["entries"][0][0] = -1
+    path = tmp_path / "gram_n4_k2_even.json"
+    path.write_text(json.dumps(tampered), encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    code, out, _ = run(capsys, ["verify", "--n", "4", "--d", "2",
+                                "--cache-dir", str(tmp_path)])
+    assert code == 0
+    assert "ok: True" in out.splitlines()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("argv, code, prefix", [
+    (["normalize", "--kind", "pois", "--input", "x * [2,1]"], 1, "parse error"),
+    (["normalize", "--kind", "siop", "--input", "1 * n=2; 1->2\n1.5 * n=2; 2->1"],
+     1, "parse error"),
+    (["geom-check", "--forest", "[1,2]", "--graph", "1->2", "--eps", "abc"],
+     1, "parse error"),
+    (["geom-check", "--forest", "[1,2]", "--graph", "1->2", "--eps", "0.1,"],
+     1, "parse error"),
+    (["pair", "--d", "0", "--graph", "n=2; 1->2", "--forest", "[1,2]"],
+     2, "validation error"),
+    (["pair", "--d", "1", "--graph", "n=2; 1->2", "--forest", "[1,2]"],
+     2, "validation error"),
+    (["normalize", "--kind", "pois", "--input", "1 * [2,1]", "--d", "1"],
+     2, "validation error"),
+    (["compose", "--outer", "[1,2]", "--index", "1", "--inner", "[1,2]", "--d", "0"],
+     2, "validation error"),
+    (["cooperad", "--graph", "n=2; 1->2", "--otree", "(*,*)", "--d", "-3"],
+     2, "validation error"),
+    (["ranks", "--n", "3", "--d", "1"], 2, "validation error"),
+    (["duality", "--otree", "(*,(*,*,*),(*,*))", "--trials", "0"],
+     2, "validation error"),
+    (["duality", "--otree", "(*,(*,*,*),(*,*))", "--trials", "-5"],
+     2, "validation error"),
+    (["enumerate", "--kind", "tall-forests", "--n", "0", "--k", "0"],
+     2, "validation error"),
+    (["enumerate", "--kind", "long-graphs", "--n", "0", "--k", "0"],
+     2, "validation error"),
+])
+def test_cli_contract(capsys, argv, code, prefix):
+    got, out, err = run(capsys, argv)
+    assert got == code
+    assert out == ""
+    assert err.startswith(f"{prefix}: ")
+    assert "Traceback" not in err

@@ -1,6 +1,3 @@
-import json
-import os
-
 import pytest
 
 from confpair.errors import ValidationError
@@ -97,24 +94,6 @@ def test_gram_6_5_identity_both_parities():
 def test_gram_entries_in_unit_range():
     gm = gram_matrix(4, 2, 3)
     assert all(v in (-1, 0, 1) for row in gm.entries for v in row)
-
-
-def test_gram_cache_roundtrip(cache_dir):
-    gm1 = gram_matrix(4, 3, 2, cache_dir=cache_dir)
-    path = os.path.join(cache_dir, "gram_n4_k3_even.json")
-    assert os.path.exists(path)
-    gm2 = gram_matrix(4, 3, 2, cache_dir=cache_dir)
-    assert gm1.entries == gm2.entries
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    assert payload["schema"] == 1
-    # schema mismatch is recomputed, never migrated
-    payload["schema"] = 999
-    payload["entries"][0][0] = 42
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-    gm3 = gram_matrix(4, 3, 2, cache_dir=cache_dir)
-    assert gm3.entries[0][0] == 1
 
 
 def test_rank_table_examples():
