@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .errors import ValidationError
 from .lincombo import LinCombo
-from .normalize import eps
+from .normalize import anti_sign, eps
 from .trees import Forest, Tree, _node_size, sort_trees_with_parity
 
 
@@ -95,11 +95,6 @@ def _monomial_brackets(trees):
     return sum(_node_size(t) for t in trees)
 
 
-def _flip_sign(bu, bw, d):
-    """Sign of [U, W] -> [W, U]: -(-1)^((bu+1)(bw+1)(d-1))."""
-    return -eps((bu + 1) * (bw + 1), d)
-
-
 def _bracket_monomials(u_trees, w_trees, d):
     """[U, W] for dot-monomials of tree nodes; yields (coeff, tree tuple)."""
     if len(u_trees) == 1 and len(w_trees) == 1:
@@ -117,7 +112,7 @@ def _bracket_monomials(u_trees, w_trees, d):
             out.append((s * c, (y,) + trees))
         return out
     # len(u_trees) > 1: swap arguments
-    s = _flip_sign(_monomial_brackets(u_trees), _monomial_brackets(w_trees), d)
+    s = anti_sign(_monomial_brackets(u_trees), _monomial_brackets(w_trees), d)
     return [(s * c, trees) for c, trees in _bracket_monomials(w_trees, u_trees, d)]
 
 

@@ -25,8 +25,18 @@ from .lincombo import LinCombo
 from .normalize import normalize_pois, normalize_siop
 from .operad import check_duality, compose, cooperad, sample_duality
 from .otrees import parse_otree
-from .pairing import describe_pair, gram_matrix, rank_table, verify_perfect
-from .trees import enumerate_tall_forests, forest_to_json, parse_forest, render_forest
+from .pairing import describe_pair, gram_matrix, poincare_coefficients, rank_table, verify_perfect
+from .trees import check_degree, enumerate_tall_forests, forest_to_json, parse_forest, render_forest
+
+SIZE_BUDGET = 1_000_000  # most elements `enumerate` builds, most entries `gram` pairs
+
+
+def _check_budget(n, k, power, what):
+    """Refuse degree k of n when its basis size to `power` is above SIZE_BUDGET."""
+    check_degree(n, k)
+    size = poincare_coefficients(n)[k] ** power
+    if size > SIZE_BUDGET:
+        raise ValidationError(f"n={n} k={k} needs {size} {what}, above the budget of {SIZE_BUDGET}")
 
 
 def _parse_combo(text, parse_element):
@@ -37,12 +47,17 @@ def _parse_combo(text, parse_element):
         line = raw.strip()
         if not line:
             continue
+        start = line_start + raw.find(line)
         if "*" in line:
             coeff_text, element_text = line.split("*", 1)
-            coeff = _parse_number(int, coeff_text, text, line_start + raw.find(line))
+            coeff = _parse_number(int, coeff_text, text, start)
         else:
             coeff, element_text = 1, line
-        terms.append((parse_element(element_text.strip()), coeff))
+        element_text = element_text.strip()
+        try:
+            terms.append((parse_element(element_text), coeff))
+        except ParseError as exc:  # the element ends where the line does
+            raise exc.within(text, start + len(line) - len(element_text)) from None
     return LinCombo(terms)
 
 
@@ -121,6 +136,7 @@ def cmd_cooperad(args):
 
 
 def cmd_gram(args):
+    _check_budget(args.n, args.k, 2, "entries")
     gm = gram_matrix(args.n, args.k, args.d)
     lines = [" ".join(f"{v:2d}" for v in row) for row in gm.entries]
     payload = {"n": gm.n, "k": gm.k, "parity": gm.parity,
@@ -143,6 +159,7 @@ def cmd_ranks(args):
 
 
 def cmd_enumerate(args):
+    _check_budget(args.n, args.k, 1, "elements")
     if args.kind == "tall-forests":
         items = [render_forest(f) for f in enumerate_tall_forests(args.n, args.k)]
     else:

@@ -8,11 +8,16 @@ that violates an invariant (duplicate labels, bad arity, size mismatch).
 
 class ParseError(ValueError):
     def __init__(self, message, text=None, pos=None):
+        self.reason = message
         self.text = text
         self.pos = pos
         if pos is not None:
             message = f"{message} (at position {pos})"
         super().__init__(message)
+
+    def within(self, text, offset):
+        """The same error, for a piece of `text` that starts at `offset`."""
+        return ParseError(self.reason, text, offset + self.pos)
 
 
 class ValidationError(ValueError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ParseError, ValidationError
-from .trees import OrderedPartition, iter_ordered_partitions
+from .trees import OrderedPartition, ordered_partitions
 
 
 @dataclass(frozen=True)
@@ -112,15 +112,7 @@ def graph_of_ordered_partition(p: OrderedPartition, n=None) -> Graph:
 
 def enumerate_long_graphs(n, k):
     """All long n-graphs with k edges, aligned with enumerate_tall_forests."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    if not 0 <= k <= n - 1:
-        raise ValidationError(f"degree k={k} out of range for n={n}")
-    out = []
-    for p in iter_ordered_partitions(n):
-        if p.n - len(p.blocks) == k:
-            out.append(graph_of_ordered_partition(p, n))
-    return out
+    return [graph_of_ordered_partition(p, n) for p in ordered_partitions(n, k)]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ tall forests are the canonical integral basis in each homological degree.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -244,28 +243,15 @@ def single_tree_forest(tree, n=None):
 
 
 def vertices_before_leaf(f: Forest, label: int) -> int:
-    """Internal vertices strictly preceding the leaf in the global in-order."""
+    """Internal vertices strictly preceding the leaf in the global in-order.
+
+    In-order alternates leaf, vertex, leaf, so the leaf at position p of
+    its tree's leaf_seq has p of that tree's vertices before it.
+    """
     if label not in f.leaf_info:
         raise ValidationError(f"label {label} out of range 1..{f.n}")
-    count = 0
-    seen = False
-
-    def walk(node):
-        nonlocal count, seen
-        if isinstance(node, int):
-            if node == label:
-                seen = True
-            return
-        walk(node[0])
-        if not seen:
-            count += 1
-        walk(node[1])
-
-    for t in f.trees:
-        if seen:
-            break
-        walk(t.node)
-    return count
+    idx = f.leaf_info[label][0]
+    return sum(t.size for t in f.trees[:idx]) + f.trees[idx].leaf_seq.index(label)
 
 
 def nadir(f: Forest, i: int, j: int):
@@ -327,50 +313,47 @@ def forest_of_ordered_partition(p: OrderedPartition, n=None) -> Forest:
     return Forest(trees, n if n is not None else p.n)
 
 
-def iter_ordered_partitions(n):
-    """All ordered partitions of {1..n}: set partition + per-block orderings.
+def check_degree(n, k):
+    """Refuse a degree k outside 0..n-1, or n < 1."""
+    if n < 1:
+        raise ValidationError("n must be >= 1")
+    if not 0 <= k <= n - 1:
+        raise ValidationError(f"degree k={k} out of range for n={n}")
 
-    Deterministic order: sorted by the tuple-of-blocks key.
+
+def ordered_partitions(n, k):
+    """The ordered partitions of {1..n} into n - k blocks, streamed.
+
+    Canonical order: sorted by the tuple-of-blocks key.  A block sorts
+    before its own extensions, so a depth-first search on the first block
+    yields that order directly: (m,) with every tail, then (m, x) for
+    increasing x, and so on.  Branches that cannot leave exactly the
+    blocks still needed are cut, so every branch yields.
     """
-    def set_partitions(items):
-        if not items:
-            yield []
-            return
-        first, rest = items[0], items[1:]
-        for sub in range(1 << len(rest)):
-            block = [first] + [rest[b] for b in range(len(rest)) if sub >> b & 1]
-            remaining = [rest[b] for b in range(len(rest)) if not sub >> b & 1]
-            for tail in set_partitions(remaining):
-                yield [tuple(block)] + tail
+    check_degree(n, k)
 
-    out = []
-    for blocks in set_partitions(list(range(1, n + 1))):
-        choices = [
-            [(b[0],) + perm for perm in itertools.permutations(b[1:])]
-            for b in blocks
-        ]
-        for picked in itertools.product(*choices):
-            out.append(tuple(sorted(picked)))
-    out.sort()
-    for blocks in out:
-        yield OrderedPartition(blocks)
+    def grow(block, rest, count):
+        # split the sorted `rest` into `count` blocks; len(rest) >= count
+        if not rest:
+            yield (block,)
+            return
+        if count:
+            for tail in grow((rest[0],), rest[1:], count - 1):
+                yield (block,) + tail
+        if len(rest) > count:
+            for a, x in enumerate(rest):
+                yield from grow(block + (x,), rest[:a] + rest[a + 1:], count)
+
+    yield from map(OrderedPartition, grow((1,), tuple(range(2, n + 1)), n - k - 1))
 
 
 def enumerate_tall_forests(n, k):
     """All n-forests with k internal vertices in which every tree is tall.
 
-    Canonical order: sorted by the associated ordered partition.  The count
-    is the t^k coefficient of prod_{i=1}^{n-1} (1 + i t).
+    Canonical order: that of ordered_partitions(n, k).  The count is the
+    t^k coefficient of prod_{i=1}^{n-1} (1 + i t).
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    if not 0 <= k <= n - 1:
-        raise ValidationError(f"degree k={k} out of range for n={n}")
-    out = []
-    for p in iter_ordered_partitions(n):
-        if p.n - len(p.blocks) == k:
-            out.append(forest_of_ordered_partition(p, n))
-    return out
+    return [forest_of_ordered_partition(p, n) for p in ordered_partitions(n, k)]
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +407,14 @@ def parse_tree(text) -> Tree:
 
 def parse_forest(text, n=None) -> Forest:
     """Parse ';'-separated trees; storage is canonicalized (min-label sort)."""
-    chunks = text.split(";")
-    trees = [parse_tree(c) for c in chunks if c.strip()]
+    trees, start = [], 0
+    for chunk in text.split(";"):
+        if chunk.strip():
+            try:
+                trees.append(parse_tree(chunk))
+            except ParseError as exc:
+                raise exc.within(text, start) from None
+        start += len(chunk) + 1
     if not trees:
         raise ParseError("empty forest", text, 0)
     labels = set().union(*(t.labels for t in trees))

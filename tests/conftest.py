@@ -31,6 +31,19 @@ def set_partitions(items):
             yield [tuple(block)] + tail
 
 
+def ordered_partitions_oracle(n):
+    """Every ordered partition of {1..n} as a tuple of blocks, each block led
+    by its minimum: set partitions times per-block orderings, fully sorted."""
+    out = []
+    for blocks in set_partitions(list(range(1, n + 1))):
+        choices = [[(b[0],) + perm for perm in itertools.permutations(b[1:])]
+                   for b in blocks]
+        for picked in itertools.product(*choices):
+            out.append(tuple(sorted(picked)))
+    out.sort()
+    return out
+
+
 def all_forests(n):
     """Every n-forest (canonical storage), by brute force."""
     out = []

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from confpair.cli import main
+from confpair.cli import SIZE_BUDGET, main
+from confpair.pairing import poincare_coefficients
 
 
 def run(capsys, argv):
@@ -182,6 +183,15 @@ def test_cache_dir_is_ignored(capsys, tmp_path):
      2, "validation error"),
     (["enumerate", "--kind", "long-graphs", "--n", "0", "--k", "0"],
      2, "validation error"),
+    (["enumerate", "--kind", "tall-forests", "--n", "12", "--k", "6"],
+     2, "validation error"),
+    (["enumerate", "--kind", "long-graphs", "--n", "12", "--k", "6"],
+     2, "validation error"),
+    (["gram", "--n", "7", "--k", "4", "--d", "2"], 2, "validation error"),
+    (["gram", "--n", "12", "--k", "2", "--d", "2"], 2, "validation error"),
+    (["enumerate", "--kind", "tall-forests", "--n", "3", "--k", "3"],
+     2, "validation error"),
+    (["gram", "--n", "3", "--k", "-1"], 2, "validation error"),
 ])
 def test_cli_contract(capsys, argv, code, prefix):
     got, out, err = run(capsys, argv)
@@ -189,3 +199,34 @@ def test_cli_contract(capsys, argv, code, prefix):
     assert out == ""
     assert err.startswith(f"{prefix}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind, text, pos", [
+    ("pois", "1 * [2,1]\n2 * [1,x]", 17),
+    ("pois", "1 * [2,1]\n  2 *   [1,2] ; [3,y]", 29),
+    ("pois", "[2,1]\n[1,2] ; [3,", 17),
+    ("siop", "1 * n=2; 1->2\n-1 * n=2; 2->x", 23),
+    ("siop", "1 * n=2; 1->2\n n=2, 2->1", 15),
+])
+def test_normalize_parse_error_position_is_within_input(capsys, kind, text, pos):
+    code, out, err = run(capsys, ["normalize", "--kind", kind, "--input", text])
+    assert code == 1
+    assert out == ""
+    assert err.rstrip("\n").endswith(f"(at position {pos})")
+
+
+def test_size_budget_admits_the_working_sizes():
+    sizes = poincare_coefficients(7)
+    assert max(sizes) <= SIZE_BUDGET  # enumerate up to n=7
+    assert max(poincare_coefficients(5)) ** 2 <= SIZE_BUDGET  # gram --n 5
+    assert sizes[3] ** 2 <= SIZE_BUDGET  # gram --n 7 --k 3
+
+
+def test_enumerate_streams_one_degree_of_a_large_n(capsys):
+    code, out, err = run(capsys, ["enumerate", "--kind", "long-graphs",
+                                  "--n", "12", "--k", "1"])
+    assert code == 0
+    assert err == ""
+    lines = out.splitlines()
+    assert len(lines) == 66
+    assert lines[0] == "n=12; 11->12" and lines[-1] == "n=12; 1->12"

@@ -2,14 +2,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confpair.errors import ParseError, ValidationError
+from confpair.graphs import enumerate_long_graphs, graph_of_ordered_partition
 from confpair.trees import (Forest, OrderedPartition, Tree, enumerate_tall_forests,
                             forest, forest_of_ordered_partition, nadir,
-                            ordered_partition_of_forest, parse_forest, parse_tree,
+                            ordered_partition_of_forest, ordered_partitions,
+                            parse_forest, parse_tree,
                             render_forest, single_tree_forest,
                             sort_trees_with_parity, tree_from_leaf_order,
                             vertices_before_leaf, forest_to_json, forest_from_json)
 
-from conftest import all_forests, basis_count_oracle, is_tall_oracle
+from conftest import (all_forests, basis_count_oracle, is_tall_oracle,
+                      ordered_partitions_oracle)
 
 
 def test_parse_smallest_tree():
@@ -226,3 +229,45 @@ def test_nadir_lies_on_both_root_paths(f):
 def test_single_tree_forest_pads_singletons():
     f = single_tree_forest(Tree((2, 4)), 5)
     assert render_forest(f) == "1 ; [2,4] ; 3 ; 5"
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_ordered_partitions_follow_the_sorted_oracle(n):
+    oracle = ordered_partitions_oracle(n)
+    for k in range(n):
+        want = [OrderedPartition(b) for b in oracle if n - len(b) == k]
+        assert list(ordered_partitions(n, k)) == want
+        assert enumerate_tall_forests(n, k) == [forest_of_ordered_partition(p, n) for p in want]
+        assert enumerate_long_graphs(n, k) == [graph_of_ordered_partition(p, n) for p in want]
+
+
+@pytest.mark.parametrize("n, k", [(0, 0), (-1, 0), (3, -1), (3, 3)])
+def test_ordered_partitions_refuse_bad_degrees(n, k):
+    with pytest.raises(ValidationError):
+        next(ordered_partitions(n, k))
+
+
+def _vertices_before_oracle(f, label):
+    """Walk the forest in in-order and count the vertices met before the leaf."""
+    seq = []
+
+    def walk(node):
+        if isinstance(node, int):
+            seq.append(node)
+        else:
+            walk(node[0])
+            seq.append(None)
+            walk(node[1])
+
+    for t in f.trees:
+        walk(t.node)
+    return seq[:seq.index(label)].count(None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(forests())
+def test_vertices_before_leaf_matches_in_order_walk(f):
+    for label in range(1, f.n + 1):
+        assert vertices_before_leaf(f, label) == _vertices_before_oracle(f, label)
+    with pytest.raises(ValidationError):
+        vertices_before_leaf(f, f.n + 1)
