@@ -130,11 +130,13 @@ def parse_graph(text) -> Graph:
     rest = m.group(2) or ""
     edges = []
     if rest.strip():
+        start = m.start(2)
         for chunk in rest.split(","):
             em = _EDGE_RE.match(chunk)
             if not em:
-                raise ParseError(f"bad edge {chunk.strip()!r}", text, text.find(chunk))
+                raise ParseError(f"bad edge {chunk.strip()!r}", text, start)
             edges.append((int(em.group(1)), int(em.group(2))))
+            start += len(chunk) + 1
     return Graph(n, tuple(edges))
 
 

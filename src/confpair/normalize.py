@@ -1,9 +1,19 @@
-"""Rewriting onto the canonical bases.
+"""Normalization onto the canonical bases.
 
-Tree side: anti-symmetry orients every vertex so the smaller minimal label
-sits on the left, and the (graded) Jacobi identity pushes the minimal leaf
-deeper-left until every tree is a tall comb.  With a = |T1|, b = |T2|
-internal vertices, swapping the arguments of a bracket costs
+Tree side: by the Gram identity <G_P, F_Q> = delta_PQ, the coefficient of
+the tall forest F_P in a forest combination x is the pairing <G_P, x> with
+the dual long graph.  For a single forest that pairing is nonzero only when
+each block of P runs through the leaves of one tree, starting at its
+minimum, with pairwise distinct nadirs between consecutive leaves, so
+normalize_pois lists exactly those P (_tall_chains) and reads each
+coefficient off pair_basis; its cost follows the size of the output.
+
+The rewriting engine stays as the reference the tests check that against:
+anti-symmetry orients every vertex so the smaller minimal label sits on
+the left, and the (graded) Jacobi identity pushes the minimal leaf
+deeper-left until every tree is a tall comb (normalize_forest).  With
+a = |T1|, b = |T2| internal vertices, swapping the arguments of a bracket
+costs
 
     (-1)^(d + (a + b + ab)(d-1))
 
@@ -15,22 +25,30 @@ shifted degrees), and the cyclic Jacobi relation reads
 
 For odd d these reduce to the classical unsigned identities.
 
-Graph side: repeated vertex pairs and cycles die; arrow reversal costs
-(-1)^d per arrow and a transposition of edges costs (-1)^(d-1); the Arnold
-identity a_jk a_kl + a_kl a_lj + a_lj a_jk = 0 eliminates branch vertices.
-Each Arnold step pushes a subtree one level deeper, so the depth-sum
-measure terminates at disjoint chains, which are then ordered canonically.
+Graph side, by rewriting: repeated vertex pairs and cycles die; arrow
+reversal costs (-1)^d per arrow and a transposition of edges costs
+(-1)^(d-1); the Arnold identity a_jk a_kl + a_kl a_lj + a_lj a_jk = 0
+eliminates branch vertices.  Each Arnold step pushes a subtree one level
+deeper, so the depth-sum measure terminates at disjoint chains, which are
+then ordered canonically.  Its correctness is certified post hoc by the
+pairing oracle (coefficients against the dual basis), not by a
+critical-pair analysis.
 
-Correctness is certified post hoc by the pairing oracle (coefficients
-against the dual basis), not by a critical-pair analysis.
+normalize_pois, normalize_graph and normalize_siop build one LinCombo
+from all their terms, which adds them up in place; a running `out + ...`
+copies the whole sum at every step, O(N^2) for N terms.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import ValidationError
-from .graphs import Graph
+from .graphs import Graph, graph_of_ordered_partition
 from .lincombo import LinCombo
-from .trees import Forest, Tree, _node_size, inversion_parity, sort_trees_with_parity
+from .pairing import pair_basis
+from .trees import (Forest, OrderedPartition, Tree, _node_size, forest_of_ordered_partition,
+                    inversion_parity, sort_trees_with_parity)
 
 
 def eps(exponent: int, d: int) -> int:
@@ -122,19 +140,54 @@ def normalize_forest(f: Forest, d: int) -> LinCombo:
     return result
 
 
+def _tall_chains(t: Tree):
+    """The leaf orders P of t, led by its minimum, with <G_P, t> != 0.
+
+    That pairing is nonzero exactly when consecutive leaves of P have
+    pairwise distinct nadirs.  An edge lands inside a subtree exactly when
+    both its leaves are below it, so then the s - 1 vertices of a subtree
+    with s leaves take s - 1 edges between its own leaves: those leaves
+    are consecutive in P.  Conversely, when they are for every subtree,
+    exactly one edge joins the two sides of each vertex.  So P runs over
+    the leaf orders of t's planar flips that keep the side of the minimum
+    first at each vertex above it: a product of choices, with no dead end.
+    """
+
+    def orders(node, lead):
+        # lead: the path from node down to the leaf that must come first
+        if isinstance(node, int):
+            return [(node,)]
+        if lead is None:
+            left, right = orders(node[0], None), orders(node[1], None)
+            return [a + b for a in left for b in right] + [b + a for a in left for b in right]
+        first, rest = orders(node[lead[0]], lead[1:]), orders(node[1 - lead[0]], None)
+        return [a + b for a in first for b in rest]
+
+    return orders(t.node, t.leaf_paths[t.min_label])
+
+
 def normalize_pois(x, d: int) -> LinCombo:
-    """Express a forest combination in the tall basis; idempotent and linear."""
+    """Express a forest combination in the tall basis; idempotent and linear.
+
+    Each non-tall forest f contributes c * <G_P, f> * F_P for every P in
+    the product of its trees' chains (see _tall_chains).
+    """
     combo = x if isinstance(x, LinCombo) else LinCombo.single(x)
     sizes = {f.n for f, _ in combo}
     if len(sizes) > 1:
         raise ValidationError(f"mixed n across terms: {sorted(sizes)}")
-    out = LinCombo.zero()
+    terms = []
     for f, c in combo:
         if f.is_tall:
-            out = out + LinCombo.single(f, c)
-        else:
-            out = out + c * normalize_forest(f, d)
-    return out
+            terms.append((f, c))
+            continue
+        # a PlanarForest may list its trees out of order; pair_basis keeps its sign
+        trees = sorted(f.trees, key=lambda t: t.min_label)
+        for blocks in itertools.product(*map(_tall_chains, trees)):
+            p = OrderedPartition(blocks)
+            value = pair_basis(graph_of_ordered_partition(p, f.n), f, d).value
+            terms.append((forest_of_ordered_partition(p, f.n), c * value))
+    return LinCombo(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -213,15 +266,14 @@ def normalize_graph(g: Graph, d: int) -> LinCombo:
         return LinCombo.zero()
     edges, flips = oriented
     sign = reversal_sign(flips, 0, d)
-    out = LinCombo.zero()
+    terms = []
     work = [(sign, edges)]
     while work:
         sign, edges = work.pop()
         branch = _find_branch(edges)
         if branch is None:
             target, parity = _long_order(edges)
-            out = out + LinCombo.single(
-                Graph(g.n, target), sign * reversal_sign(0, parity, d))
+            terms.append((Graph(g.n, target), sign * reversal_sign(0, parity, d)))
             continue
         v, a, pa, b, pb = branch
         # bring (v,a) just before (v,b), flip it to (a,v), then Arnold:
@@ -236,7 +288,7 @@ def normalize_graph(g: Graph, d: int) -> LinCombo:
         work.append((-sign, tuple(word1)))
         # (b,a),(a,v) reversed in place to stay oriented away: two flips
         work.append((-sign * reversal_sign(2, 0, d), tuple(word2)))
-    return out
+    return LinCombo(terms)
 
 
 def normalize_siop(x, d: int) -> LinCombo:
@@ -245,10 +297,10 @@ def normalize_siop(x, d: int) -> LinCombo:
     sizes = {g.n for g, _ in combo}
     if len(sizes) > 1:
         raise ValidationError(f"mixed n across terms: {sorted(sizes)}")
-    out = LinCombo.zero()
+    terms = []
     for g, c in combo:
         if g.is_long:
-            out = out + LinCombo.single(g, c)
+            terms.append((g, c))
         else:
-            out = out + c * normalize_graph(g, d)
-    return out
+            terms.extend((h, c * ch) for h, ch in normalize_graph(g, d))
+    return LinCombo(terms)

@@ -229,13 +229,13 @@ def verify_perfect(n: int, d: int, pair_fn=None) -> PerfectReport:
     degrees = []
     ok = True
     for k in range(n):
-        graphs = enumerate_long_graphs(n, k)
-        forests = enumerate_tall_forests(n, k)
-        failures = []
         if pair_fn is None:
             gm = gram_matrix(n, k, d)
-            failures = [(r, c, v) for r, c, v in gm.failures()]
+            graphs, failures = gm.graphs, gm.failures()
         else:
+            graphs = enumerate_long_graphs(n, k)
+            forests = enumerate_tall_forests(n, k)
+            failures = []
             for r, g in enumerate(graphs):
                 for c, f in enumerate(forests):
                     v = pf(g, f, d).value

@@ -16,7 +16,7 @@ from confpair.geometry import (eval_system, limit_check, random_torus_point,
                                system_identities)
 from confpair.graphs import Graph, enumerate_long_graphs, render_graph
 from confpair.lincombo import LinCombo
-from confpair.normalize import normalize_pois, normalize_siop
+from confpair.normalize import normalize_forest, normalize_pois, normalize_siop
 from confpair.operad import all_two_level_trees, check_duality, cooperad
 from confpair.otrees import graft_tree
 from confpair.pairing import first_degree_bases, gram_matrix, pair, pair_basis, rank_table
@@ -164,6 +164,13 @@ def test_criterion_4_normalization_soundness():
             out = normalize_pois(combo, d)
             if normalize_pois(out, d) != out:
                 bad.append(("pois idempotence", n, trial))
+                break
+            # the anti-symmetry/Jacobi rewriting, certified by the same pairings
+            reference = LinCombo.zero()
+            for f, c in combo:
+                reference = reference + c * normalize_forest(f, d)
+            if reference != out:
+                bad.append(("pois rewriting reference", n, trial))
                 break
             for g in duals_g:
                 if pair(g, combo, d) != pair(g, out, d):

@@ -28,6 +28,18 @@ def test_parse_graph_errors(text):
         parse_graph(text)
 
 
+@pytest.mark.parametrize("text,pos", [
+    ("n=3; 1-2", 4),
+    ("n=3; 1->2, 1-2", 10),
+    ("n=3; 1->2, 2->1, 2", 16),  # the chunk " 2" also occurs at 10
+    ("n=4; 1->2,1->2,1->2,,", 20),  # the empty chunk "" occurs at 0
+])
+def test_parse_graph_error_position(text, pos):
+    with pytest.raises(ParseError) as info:
+        parse_graph(text)
+    assert info.value.pos == pos
+
+
 def test_graph_validation():
     with pytest.raises(ValidationError):
         Graph(3, ((1, 4),))

@@ -1,14 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confpair.errors import ValidationError
 from confpair.graphs import Graph, enumerate_long_graphs, parse_graph, render_graph
 from confpair.lincombo import LinCombo
-from confpair.normalize import (anti_sign, eps, normalize_graph, normalize_pois,
-                                normalize_siop)
+from confpair.normalize import (anti_sign, eps, normalize_forest, normalize_graph,
+                                normalize_pois, normalize_siop)
 from confpair.pairing import pair
-from confpair.trees import enumerate_tall_forests, parse_forest, render_forest
+from confpair.trees import (Forest, PlanarForest, Tree, enumerate_tall_forests,
+                            parse_forest, render_forest)
 
 from conftest import random_forest, random_graph_edges
 
@@ -166,3 +168,77 @@ def test_anti_sign_symmetry():
 def test_normalize_graph_empty():
     g = Graph(3, ())
     assert normalize_graph(g, 2) == LinCombo.single(g)
+
+
+# ---------------------------------------------------------------------------
+# normalize_pois against the rewriting engine it replaced
+
+def rewriting_reference(combo, d):
+    out = LinCombo.zero()
+    for f, c in combo:
+        out = out + c * normalize_forest(f, d)
+    return out
+
+
+def right_comb(n):
+    node = n
+    for lab in range(n - 1, 0, -1):
+        node = (lab, node)
+    return Forest((Tree(node),), n)
+
+
+@st.composite
+def pois_cases(draw):
+    """(combo, swap pair, d): a random combo of 1-4 forests plus one forest
+    minus its anti-symmetry-signed root swap, and that pair alone."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    d = draw(st.sampled_from((2, 3)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32)))
+    terms = [(random_forest(rng, n), draw(st.integers(min_value=-5, max_value=5)))
+             for _ in range(draw(st.integers(min_value=1, max_value=4)))]
+    f = random_forest(rng, n)
+    while not any(t.size for t in f.trees):
+        f = random_forest(rng, n)
+    idx = next(i for i, t in enumerate(f.trees) if t.size)
+    left, right = f.trees[idx].node
+    swapped = Forest(f.trees[:idx] + (Tree((right, left)),) + f.trees[idx + 1:], n)
+    # [L, R] = anti_sign * [R, L]
+    swap = LinCombo([(f, 1), (swapped, -anti_sign(Tree(left).size, Tree(right).size, d))])
+    c = draw(st.integers(min_value=1, max_value=3))
+    return LinCombo(terms + [(key, c * v) for key, v in swap]), swap, d
+
+
+@settings(max_examples=80, deadline=None)
+@given(pois_cases())
+def test_normalize_pois_matches_rewriting(case):
+    combo, swap, d = case
+    out = normalize_pois(combo, d)
+    assert out == rewriting_reference(combo, d)
+    assert all(key.is_tall for key, _ in out)
+    assert normalize_pois(swap, d) == LinCombo.zero()
+    assert rewriting_reference(swap, d) == LinCombo.zero()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("d", [2, 3])
+def test_right_comb_matches_rewriting(n, d):
+    f = right_comb(n)
+    assert normalize_pois(f, d) == normalize_forest(f, d)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_planar_forest_matches_rewriting(d):
+    # trees out of min-label order: the commutativity sign comes from the pairing
+    f = PlanarForest((Tree((4, 3)), Tree((2, 1))), 4)
+    out = normalize_pois(f, d)
+    assert out == normalize_forest(f, d)
+    assert out == eps(1, d) * normalize_pois(parse_forest("[2,1] ; [4,3]"), d)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_right_comb_support_is_output_sized(n):
+    # [1,[2,...,[n-1,n]]]: every vertex but the root may flip
+    for d in (2, 3):
+        out = normalize_pois(right_comb(n), d)
+        assert len(out) == 2 ** (n - 2)
+        assert all(key.is_tall and key.size == n - 1 for key, _ in out)
