@@ -144,20 +144,15 @@ def reduce_expr(e, d: int) -> LinCombo:
     n = max(labels)
     if set(labels) != set(range(1, n + 1)):
         raise ValidationError(f"expression variables {sorted(labels)} not contiguous 1..{n}")
-    out = LinCombo.zero()
+    terms = []
     for coeff, tree_nodes in _reduce_monomials(e, d):
-        trees = tuple(Tree(t) for t in tree_nodes)
-        ordered, parity = sort_trees_with_parity(trees)
-        sign = eps(parity, d)
-        out = out + LinCombo.single(Forest(ordered, n), coeff * sign)
-    return out
+        ordered, parity = sort_trees_with_parity(tuple(Tree(t) for t in tree_nodes))
+        terms.append((Forest(ordered, n), coeff * eps(parity, d)))
+    return LinCombo(terms)
 
 
 def reduce_bracket(b, d: int) -> LinCombo:
     """Reduce a LinCombo of expressions (or one expression) to forests."""
     if isinstance(b, tuple):
         return reduce_expr(b, d)
-    out = LinCombo.zero()
-    for e, c in b:
-        out = out + c * reduce_expr(e, d)
-    return out
+    return LinCombo([(f, c * cf) for e, c in b for f, cf in reduce_expr(e, d)])

@@ -19,8 +19,7 @@ import sys
 
 from .errors import ParseError, ValidationError, VerificationFailure
 from .geometry import limit_check
-from .graphs import (enumerate_long_graphs, graph_to_json, parse_graph,
-                     render_graph)
+from .graphs import enumerate_long_graphs, graph_to_json, parse_edges, parse_graph, render_graph
 from .lincombo import LinCombo
 from .normalize import normalize_pois, normalize_siop
 from .operad import check_duality, compose, cooperad, sample_duality
@@ -97,19 +96,14 @@ def cmd_pair(args):
 
 
 def cmd_normalize(args):
+    parse, normalize, render, to_json = {
+        "pois": (parse_forest, normalize_pois, render_forest, forest_to_json),
+        "siop": (parse_graph, normalize_siop, render_graph, graph_to_json),
+    }[args.kind]
     text = args.input if args.input is not None else sys.stdin.read()
-    if args.kind == "pois":
-        combo = _parse_combo(text, lambda s: parse_forest(s, n=args.n))
-        out = normalize_pois(combo, args.d)
-        n = args.n or (next(iter(out))[0].n if out else 0)
-        _emit(args, _combo_lines(out, render_forest),
-              _combo_json(out, n, lambda f: forest_to_json(f)))
-    else:
-        combo = _parse_combo(text, parse_graph)
-        out = normalize_siop(combo, args.d)
-        n = next(iter(out))[0].n if out else (args.n or 0)
-        _emit(args, _combo_lines(out, render_graph),
-              _combo_json(out, n, lambda g: graph_to_json(g)))
+    out = normalize(_parse_combo(text, lambda s: parse(s, n=args.n)), args.d)
+    n = args.n or (next(iter(out))[0].n if out else 0)
+    _emit(args, _combo_lines(out, render), _combo_json(out, n, to_json))
     return 0
 
 
@@ -119,7 +113,7 @@ def cmd_compose(args):
     out = compose(outer, args.index, inner, args.d)
     n = outer.n + inner.n - 1
     _emit(args, _combo_lines(out, render_forest),
-          _combo_json(out, n, lambda f: forest_to_json(f)))
+          _combo_json(out, n, forest_to_json))
     return 0
 
 
@@ -197,10 +191,8 @@ def cmd_duality(args):
 
 def cmd_geom_check(args):
     f = parse_forest(args.forest)
-    g = parse_graph(args.graph) if args.graph.strip().startswith("n=") else None
-    if g is None:
-        from .graphs import parse_edges
-        g = parse_edges(args.graph, f.n)
+    g = (parse_graph(args.graph) if args.graph.strip().startswith("n=")
+         else parse_edges(args.graph, f.n))
     eps_list, pos = [], 0
     for chunk in args.eps.split(","):
         eps_list.append(_parse_number(float, chunk, args.eps, pos))

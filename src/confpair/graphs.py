@@ -122,27 +122,34 @@ _GRAPH_RE = re.compile(r"^\s*n\s*=\s*(\d+)\s*(?:;(.*))?$", re.S)
 _EDGE_RE = re.compile(r"^\s*(\d+)\s*->\s*(\d+)\s*$")
 
 
-def parse_graph(text) -> Graph:
-    m = _GRAPH_RE.match(text)
-    if not m:
-        raise ParseError("graph must start with 'n=<int>'", text, 0)
-    n = int(m.group(1))
-    rest = m.group(2) or ""
+def _parse_edge_list(text, start):
+    """The edges 'i->j, k->l' of text[start:]; a bad edge's error points at
+    the start of its chunk in text."""
     edges = []
-    if rest.strip():
-        start = m.start(2)
-        for chunk in rest.split(","):
+    if text[start:].strip():
+        for chunk in text[start:].split(","):
             em = _EDGE_RE.match(chunk)
             if not em:
                 raise ParseError(f"bad edge {chunk.strip()!r}", text, start)
             edges.append((int(em.group(1)), int(em.group(2))))
             start += len(chunk) + 1
-    return Graph(n, tuple(edges))
+    return tuple(edges)
+
+
+def parse_graph(text, n=None) -> Graph:
+    """Parse 'n=<int>; i->j, ...'; a given n must match the stated one."""
+    m = _GRAPH_RE.match(text)
+    if not m:
+        raise ParseError("graph must start with 'n=<int>'", text, 0)
+    stated = int(m.group(1))
+    if n is not None and stated != n:
+        raise ValidationError(f"graph states n={stated}, expected n={n}")
+    return Graph(stated, _parse_edge_list(text, m.start(2) if m.group(2) else len(text)))
 
 
 def parse_edges(text, n) -> Graph:
     """Parse a bare edge list 'i->j, k->l' against a known n."""
-    return parse_graph(f"n={n}; {text}" if text.strip() else f"n={n}")
+    return Graph(n, _parse_edge_list(text, 0))
 
 
 def render_graph(g: Graph) -> str:

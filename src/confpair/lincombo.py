@@ -4,6 +4,10 @@ Coefficients are Python ints (arbitrary precision); zero coefficients are
 never stored.  Keys are canonical basis elements (Forest, Graph, or any
 hashable term); callers are responsible for canonicalizing keys before
 insertion.
+
+Sums are built as one LinCombo(terms), which adds the (key, coeff) pairs up
+in place, O(N) for N terms; a running `+` copies the whole total at every
+step, O(N^2).  `+` is the same merge for two operands.
 """
 
 from __future__ import annotations
@@ -32,6 +36,11 @@ class LinCombo:
         return cls({key: coeff} if coeff else {})
 
     @classmethod
+    def of(cls, x):
+        """x itself when it is a LinCombo, else x with coefficient 1."""
+        return x if isinstance(x, LinCombo) else cls.single(x)
+
+    @classmethod
     def zero(cls):
         return cls()
 
@@ -54,16 +63,7 @@ class LinCombo:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            c = out.get(key, 0) + coeff
-            if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
-        result = LinCombo.__new__(LinCombo)
-        result.terms = out
-        return result
+        return LinCombo([*self.terms.items(), *other.terms.items()])
 
     def __sub__(self, other):
         return self + (-1) * other

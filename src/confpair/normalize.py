@@ -33,10 +33,6 @@ deeper, so the depth-sum measure terminates at disjoint chains, which are
 then ordered canonically.  Its correctness is certified post hoc by the
 pairing oracle (coefficients against the dual basis), not by a
 critical-pair analysis.
-
-normalize_pois, normalize_graph and normalize_siop build one LinCombo
-from all their terms, which adds them up in place; a running `out + ...`
-copies the whole sum at every step, O(N^2) for N terms.
 """
 
 from __future__ import annotations
@@ -94,15 +90,12 @@ def _combine(a_node, b_node, d) -> LinCombo:
     s_swap = anti_sign(_node_size(a_node), _node_size(b_node), d)
     s1, s2, s3 = jacobi_signs(_node_size(a_node), _node_size(b1), _node_size(b2), d)
     # [A,[B1,B2]] = s_swap [[B1,B2],A];  s1[[A,B1],B2] + s2[[B1,B2],A] + s3[[B2,A],B1] = 0
-    out = LinCombo.zero()
     c1 = -s_swap * s1 * s2  # s2 in {-1,1} so 1/s2 = s2
-    for t, c in _combine(a_node, b1, d):
-        out = out + (c1 * c) * _combine(t, b2, d)
+    terms = [(u, c1 * c * cu) for t, c in _combine(a_node, b1, d) for u, cu in _combine(t, b2, d)]
     s_inner = anti_sign(_node_size(b2), _node_size(a_node), d)
     c2 = -s_swap * s3 * s2 * s_inner
-    for t, c in _combine(a_node, b2, d):
-        out = out + (c2 * c) * _combine(t, b1, d)
-    return out
+    terms += [(u, c2 * c * cu) for t, c in _combine(a_node, b2, d) for u, cu in _combine(t, b1, d)]
+    return LinCombo(terms)
 
 
 def tall_tree_combo(t: Tree, d: int) -> LinCombo:
@@ -110,34 +103,23 @@ def tall_tree_combo(t: Tree, d: int) -> LinCombo:
     def go(node):
         if isinstance(node, int):
             return LinCombo.single(node)
-        left = go(node[0])
-        right = go(node[1])
-        out = LinCombo.zero()
-        for ln, lc in left:
-            for rn, rc in right:
-                out = out + (lc * rc) * _combine(ln, rn, d)
-        return out
+        left, right = go(node[0]), go(node[1])
+        return LinCombo([(u, lc * rc * cu) for ln, lc in left for rn, rc in right
+                         for u, cu in _combine(ln, rn, d)])
     return go(t.node)
 
 
 def normalize_forest(f: Forest, d: int) -> LinCombo:
     out = LinCombo.single((), 1)  # combos of tree-node tuples
     for t in f.trees:
-        if t.is_tall:
-            tree_combo = LinCombo.single(t.node)
-        else:
-            tree_combo = tall_tree_combo(t, d)
-        nxt = LinCombo.zero()
-        for nodes, c in out:
-            for node, ct in tree_combo:
-                nxt = nxt + LinCombo.single(nodes + (node,), c * ct)
-        out = nxt
-    result = LinCombo.zero()
+        tree_combo = LinCombo.single(t.node) if t.is_tall else tall_tree_combo(t, d)
+        out = LinCombo([(nodes + (node,), c * ct)
+                        for nodes, c in out for node, ct in tree_combo])
+    terms = []
     for nodes, c in out:
-        trees = tuple(Tree(nd) for nd in nodes)
-        ordered, parity = sort_trees_with_parity(trees)
-        result = result + LinCombo.single(Forest(ordered, f.n), c * eps(parity, d))
-    return result
+        ordered, parity = sort_trees_with_parity(tuple(Tree(nd) for nd in nodes))
+        terms.append((Forest(ordered, f.n), c * eps(parity, d)))
+    return LinCombo(terms)
 
 
 def _tall_chains(t: Tree):
@@ -172,7 +154,7 @@ def normalize_pois(x, d: int) -> LinCombo:
     Each non-tall forest f contributes c * <G_P, f> * F_P for every P in
     the product of its trees' chains (see _tall_chains).
     """
-    combo = x if isinstance(x, LinCombo) else LinCombo.single(x)
+    combo = LinCombo.of(x)
     sizes = {f.n for f, _ in combo}
     if len(sizes) > 1:
         raise ValidationError(f"mixed n across terms: {sorted(sizes)}")
@@ -293,7 +275,7 @@ def normalize_graph(g: Graph, d: int) -> LinCombo:
 
 def normalize_siop(x, d: int) -> LinCombo:
     """Express a graph combination in the long basis; kills doubles and cycles."""
-    combo = x if isinstance(x, LinCombo) else LinCombo.single(x)
+    combo = LinCombo.of(x)
     sizes = {g.n for g, _ in combo}
     if len(sizes) > 1:
         raise ValidationError(f"mixed n across terms: {sorted(sizes)}")

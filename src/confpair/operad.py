@@ -58,13 +58,9 @@ def compose_basis(f1: Forest, i: int, f2: Forest, d: int) -> LinCombo:
 
 def compose(b1, i: int, b2, d: int) -> LinCombo:
     """Bilinear composition; slots accept a Forest or a LinCombo of forests."""
-    left = b1 if isinstance(b1, LinCombo) else LinCombo.single(b1)
-    right = b2 if isinstance(b2, LinCombo) else LinCombo.single(b2)
-    out = LinCombo.zero()
-    for f1, c1 in left:
-        for f2, c2 in right:
-            out = out + (c1 * c2) * compose_basis(f1, i, f2, d)
-    return out
+    left, right = LinCombo.of(b1), LinCombo.of(b2)
+    return LinCombo([(f, c1 * c2 * c) for f1, c1 in left for f2, c2 in right
+                     for f, c in compose_basis(f1, i, f2, d)])
 
 
 # ---------------------------------------------------------------------------
@@ -108,19 +104,15 @@ def cooperad(g: Graph, tau: OTree, d: int) -> CooperadOutput:
     for v in placements:
         concat_pos.append(offsets[v] + counters[v])
         counters[v] += 1
-    sign = (-1) ** inversion_parity(concat_pos) if (d - 1) % 2 else 1
+    sign = eps(inversion_parity(concat_pos), d)
     factors = tuple(Graph(tau.arity(v), tuple(factor_edges[v])) for v in vertices)
     return CooperadOutput(sign, vertices, factors)
 
 
 def cooperad_combo(x, tau: OTree, d: int) -> LinCombo:
     """Bilinear extension: LinCombo over factor tuples."""
-    combo = x if isinstance(x, LinCombo) else LinCombo.single(x)
-    out = LinCombo.zero()
-    for g, c in combo:
-        res = cooperad(g, tau, d)
-        out = out + LinCombo.single(res.factors, c * res.sign)
-    return out
+    results = ((cooperad(g, tau, d), c) for g, c in LinCombo.of(x))
+    return LinCombo([(res.factors, c * res.sign) for res, c in results])
 
 
 # ---------------------------------------------------------------------------

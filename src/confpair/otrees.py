@@ -49,6 +49,11 @@ class OTree:
         _number_leaves(self.node, (), out)
         return out
 
+    @cached_property
+    def leaf_paths(self):
+        """canonical label -> leaf path, the inverse of leaf_numbering."""
+        return {lab: p for p, lab in self.leaf_numbering.items()}
+
     def arity(self, path):
         return len(self.subtree(path))
 
@@ -159,9 +164,8 @@ def contract_all(t: OTree) -> OTree:
 def leaf_nadir(t: OTree, a: int, b: int):
     """Vertex path at the nadir between leaves with canonical labels a, b,
     together with the 1-based input branches carrying each leaf there."""
-    paths = {lab: p for p, lab in t.leaf_numbering.items()}
     try:
-        pa, pb = paths[a], paths[b]
+        pa, pb = t.leaf_paths[a], t.leaf_paths[b]
     except KeyError as exc:
         raise ValidationError(f"no leaf labeled {exc.args[0]}") from exc
     k = 0

@@ -98,12 +98,13 @@ class GramMatrix:
         return not self.failures()
 
     def failures(self):
-        out = []
-        for r, row in enumerate(self.entries):
-            for c, v in enumerate(row):
-                if v != (1 if r == c else 0):
-                    out.append((r, c, v))
-        return out
+        return _delta_failures(self.entries)
+
+
+def _delta_failures(rows):
+    """(row, col, value) for every entry of rows that differs from the identity."""
+    return [(r, c, v) for r, row in enumerate(rows) for c, v in enumerate(row)
+            if v != (1 if r == c else 0)]
 
 
 def parity_name(d: int) -> str:
@@ -235,21 +236,11 @@ def verify_perfect(n: int, d: int, pair_fn=None) -> PerfectReport:
         else:
             graphs = enumerate_long_graphs(n, k)
             forests = enumerate_tall_forests(n, k)
-            failures = []
-            for r, g in enumerate(graphs):
-                for c, f in enumerate(forests):
-                    v = pf(g, f, d).value
-                    if v != (1 if r == c else 0):
-                        failures.append((r, c, v))
+            failures = _delta_failures((pf(g, f, d).value for f in forests) for g in graphs)
         degrees.append(DegreeReport(k, len(graphs), not failures, failures))
         ok = ok and not failures
     fg, ff = first_degree_bases(n)
-    fd_failures = []
-    for r, g in enumerate(fg):
-        for c, f in enumerate(ff):
-            v = pf(g, f, d).value
-            if v != (1 if r == c else 0):
-                fd_failures.append((r, c, v))
+    fd_failures = _delta_failures((pf(g, f, d).value for f in ff) for g in fg)
     ok = ok and not fd_failures
     expected = n * (n - 1) // 2
     if len(fg) != expected:

@@ -43,7 +43,7 @@ def antisymmetry_instance(f: Forest, tree_idx: int, path) -> "callable":
     swapped = _with_tree(f, tree_idx, _replace_subtree(f.trees[tree_idx].node, path, (right, left)))
 
     def instance(d):
-        return LinCombo.single(f, 1) + LinCombo.single(swapped, -anti_sign(a, b, d))
+        return LinCombo([(f, 1), (swapped, -anti_sign(a, b, d))])
     return instance
 
 
@@ -74,7 +74,7 @@ def commutativity_instance(trees, n):
     canonical = PlanarForest(ordered, n)
 
     def instance(d):
-        return LinCombo.single(permuted, 1) + LinCombo.single(canonical, -eps(parity, d))
+        return LinCombo([(permuted, 1), (canonical, -eps(parity, d))])
     return instance
 
 
@@ -116,7 +116,7 @@ def arrow_reversal_instance(g: Graph, flip_mask, perm):
     parity = inversion_parity(perm)
 
     def instance(d):
-        return LinCombo.single(g, 1) + LinCombo.single(g2, -reversal_sign(flips, parity, d))
+        return LinCombo([(g, 1), (g2, -reversal_sign(flips, parity, d))])
     return instance
 
 

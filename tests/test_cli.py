@@ -192,6 +192,8 @@ def test_cache_dir_is_ignored(capsys, tmp_path):
     (["enumerate", "--kind", "tall-forests", "--n", "3", "--k", "3"],
      2, "validation error"),
     (["gram", "--n", "3", "--k", "-1"], 2, "validation error"),
+    (["normalize", "--kind", "siop", "--n", "5", "--input", "n=4; 2->1", "--format", "json"],
+     2, "validation error"),
 ])
 def test_cli_contract(capsys, argv, code, prefix):
     got, out, err = run(capsys, argv)
@@ -210,6 +212,20 @@ def test_cli_contract(capsys, argv, code, prefix):
 ])
 def test_normalize_parse_error_position_is_within_input(capsys, kind, text, pos):
     code, out, err = run(capsys, ["normalize", "--kind", kind, "--input", text])
+    assert code == 1
+    assert out == ""
+    assert err.rstrip("\n").endswith(f"(at position {pos})")
+
+
+@pytest.mark.parametrize("graph, pos", [
+    ("1->x", 0),
+    ("1->2, 2-3", 5),
+    ("  1->2,1->3,3-", 12),
+    ("n=3; 1->2, 2-3", 10),
+])
+def test_geom_check_parse_error_position_is_within_graph(capsys, graph, pos):
+    code, out, err = run(capsys, ["geom-check", "--forest", "[1,2] ; [3]", "--graph", graph,
+                                  "--d", "3", "--eps", "0.1"])
     assert code == 1
     assert out == ""
     assert err.rstrip("\n").endswith(f"(at position {pos})")

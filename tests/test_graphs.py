@@ -139,3 +139,17 @@ def test_not_long_rejected():
 def test_parse_edges_helper():
     assert parse_edges("1->2, 2->3", 4).n == 4
     assert parse_edges("", 3).edges == ()
+
+
+@pytest.mark.parametrize("text,pos", [("1->x", 0), ("1->2, 2-3", 5), ("1->2,,", 5)])
+def test_parse_edges_error_position(text, pos):
+    with pytest.raises(ParseError) as info:
+        parse_edges(text, 3)
+    assert info.value.pos == pos
+    assert info.value.text == text
+
+
+def test_parse_graph_checks_a_given_n():
+    assert parse_graph("n=4; 2->1", n=4) == parse_graph("n=4; 2->1")
+    with pytest.raises(ValidationError):
+        parse_graph("n=4; 2->1", n=5)

@@ -94,6 +94,17 @@ def test_leaf_nadir_branches():
     assert v == () and (bi, bj) == (1, 3)
 
 
+def test_leaf_paths_invert_leaf_numbering():
+    tau = graft_tree(4, 3, 2)
+    assert tau.leaf_paths == {lab: p for p, lab in tau.leaf_numbering.items()}
+    assert tau.leaf_paths[4] == (2, 1)
+
+
+def test_leaf_nadir_unknown_label():
+    with pytest.raises(ValidationError, match="no leaf labeled 6"):
+        leaf_nadir(graft_tree(4, 3, 2), 1, 6)
+
+
 def test_bare_leaf_root_rejected():
     with pytest.raises(ValidationError):
         OTree(LEAF)

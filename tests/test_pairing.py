@@ -141,6 +141,22 @@ def test_verify_perfect_negative_control():
     assert bad[0].failures  # (row, col, value) triples name the pair
 
 
+@pytest.mark.parametrize("n,d", [(3, 2), (4, 3)])
+def test_verify_perfect_pair_fn_path_matches_the_gram_path(n, d):
+    assert verify_perfect(n, d, pair_fn=pair_basis) == verify_perfect(n, d)
+
+
+def test_verify_perfect_names_first_degree_failures():
+    def flip_first_edge(g, f, d):
+        res = pair_basis(g, f, d)
+        return PairingResult(-res.value, res.beta_witness) if g.edges == ((1, 2),) else res
+
+    rep = verify_perfect(3, 3, pair_fn=flip_first_edge)
+    assert not rep.ok and not rep.first_degree_identity
+    assert rep.first_degree_failures == [(0, 0, -1)]
+    assert [r.failures for r in rep.degrees] == [[], [(1, 1, -1)], []]
+
+
 def test_first_degree_bases_count():
     graphs, forests = first_degree_bases(5)
     assert len(graphs) == len(forests) == 10
