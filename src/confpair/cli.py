@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import ParseError, ValidationError, VerificationFailure
@@ -27,13 +28,23 @@ from .otrees import parse_otree
 from .pairing import describe_pair, gram_matrix, poincare_coefficients, rank_table, verify_perfect
 from .trees import check_degree, enumerate_tall_forests, forest_to_json, parse_forest, render_forest
 
-SIZE_BUDGET = 1_000_000  # most elements `enumerate` builds, most entries `gram` pairs
+SIZE_BUDGET = 1_000_000  # most labels `enumerate` writes, entries `gram` pairs, digits `ranks` prints
 
 
-def _check_budget(n, k, power, what):
-    """Refuse degree k of n when its basis size to `power` is above SIZE_BUDGET."""
+def _check_budget(n, k, cost, what):
+    """Refuse degree k of n when cost(basis size, n) is above SIZE_BUDGET.
+
+    For n >= 4 the coefficients of prod_{i<n} (1 + i t) are log-concave, so
+    those of degrees 1..n-1 are all at least the degree-1 one, n(n-1)/2.
+    An n whose degree 1 is over budget is refused in every degree, before
+    the product is multiplied out.
+    """
     check_degree(n, k)
-    size = poincare_coefficients(n)[k] ** power
+    least = cost(n * (n - 1) // 2, n)
+    if n >= 4 and least > SIZE_BUDGET:
+        raise ValidationError(f"n={n} is too large: each degree 1..{n - 1} needs at least "
+                              f"{least} {what}, above the budget of {SIZE_BUDGET}")
+    size = cost(poincare_coefficients(n)[k], n)
     if size > SIZE_BUDGET:
         raise ValidationError(f"n={n} k={k} needs {size} {what}, above the budget of {SIZE_BUDGET}")
 
@@ -130,7 +141,7 @@ def cmd_cooperad(args):
 
 
 def cmd_gram(args):
-    _check_budget(args.n, args.k, 2, "entries")
+    _check_budget(args.n, args.k, lambda size, n: size ** 2, "entries")
     gm = gram_matrix(args.n, args.k, args.d)
     lines = [" ".join(f"{v:2d}" for v in row) for row in gm.entries]
     payload = {"n": gm.n, "k": gm.k, "parity": gm.parity,
@@ -143,6 +154,11 @@ def cmd_gram(args):
 
 
 def cmd_ranks(args):
+    check_degree(args.n, 0)
+    digits = args.n * math.lgamma(args.n + 1) / math.log(10)  # n ranks, each below n!
+    if digits > SIZE_BUDGET:
+        raise ValidationError(f"n={args.n} needs up to {digits:.0f} digits, "
+                              f"above the budget of {SIZE_BUDGET}")
     table = rank_table(args.n, args.d)
     rows = table.csv_rows()
     lines = ["degree,rank"] + [f"{deg},{q}" for deg, q in rows]
@@ -153,7 +169,7 @@ def cmd_ranks(args):
 
 
 def cmd_enumerate(args):
-    _check_budget(args.n, args.k, 1, "elements")
+    _check_budget(args.n, args.k, lambda size, n: size * n, "labels")
     if args.kind == "tall-forests":
         items = [render_forest(f) for f in enumerate_tall_forests(args.n, args.k)]
     else:

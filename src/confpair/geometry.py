@@ -151,14 +151,14 @@ def limit_check(f: Forest, g: Graph, d: int, eps_list, seed: int = 0,
     per_eps = []
     for eps in eps_list:
         eps = check_epsilon(eps)
+        xs = [eval_system(f, eps, u, d) for u in us]
         per_edge = []
         for i, j in g.edges:
             ti, pi = f.leaf_info[i]
             tj, _ = f.leaf_info[j]
             v = nadir(f, i, j)
             worst = 0.0
-            for u in us:
-                x = eval_system(f, eps, u, d)
+            for u, x in zip(us, xs):
                 direction = alpha(x, j, i)
                 if v is None:
                     predicted = np.zeros(d)

@@ -8,22 +8,8 @@ minimum, with pairwise distinct nadirs between consecutive leaves, so
 normalize_pois lists exactly those P (_tall_chains) and reads each
 coefficient off pair_basis; its cost follows the size of the output.
 
-The rewriting engine stays as the reference the tests check that against:
-anti-symmetry orients every vertex so the smaller minimal label sits on
-the left, and the (graded) Jacobi identity pushes the minimal leaf
-deeper-left until every tree is a tall comb (normalize_forest).  With
-a = |T1|, b = |T2| internal vertices, swapping the arguments of a bracket
-costs
-
-    (-1)^(d + (a + b + ab)(d-1))
-
-(the antipode on the swapped vertex's sphere factor plus the block
-permutation of the vertex order; equivalently -(-1)^((a+1)(b+1)(d-1)) in
-shifted degrees), and the cyclic Jacobi relation reads
-
-    sum_cyc (-1)^((|X|+1)(|Z|+1)(d-1)) [[X, Y], Z]  =  0.
-
-For odd d these reduce to the classical unsigned identities.
+The rewriting reference that the tests check this against lives in
+tests/oracles.py.
 
 Graph side, by rewriting: repeated vertex pairs and cycles die; arrow
 reversal costs (-1)^d per arrow and a transposition of edges costs
@@ -43,8 +29,7 @@ from .errors import ValidationError
 from .graphs import Graph, graph_of_ordered_partition
 from .lincombo import LinCombo
 from .pairing import pair_basis
-from .trees import (Forest, OrderedPartition, Tree, _node_size, forest_of_ordered_partition,
-                    inversion_parity, sort_trees_with_parity)
+from .trees import OrderedPartition, Tree, forest_of_ordered_partition, inversion_parity
 
 
 def eps(exponent: int, d: int) -> int:
@@ -53,73 +38,21 @@ def eps(exponent: int, d: int) -> int:
 
 
 def anti_sign(a: int, b: int, d: int) -> int:
-    """Sign relating [T1,T2] and [T2,T1] with a, b internal vertices below."""
+    """Sign relating [T1,T2] and [T2,T1] with a, b internal vertices below:
+
+        (-1)^(d + (a + b + ab)(d-1))
+
+    (the antipode on the swapped vertex's sphere factor plus the block
+    permutation of the vertex order; equivalently -(-1)^((a+1)(b+1)(d-1))
+    in shifted degrees).
+    """
     return -1 if (d + (a + b + a * b) * (d - 1)) % 2 else 1
-
-
-def jacobi_signs(a1: int, a2: int, a3: int, d: int):
-    """Signs (s1, s2, s3) of [[T1,T2],T3], [[T2,T3],T1], [[T3,T1],T2]."""
-    return (
-        eps((a1 + 1) * (a3 + 1), d),
-        eps((a2 + 1) * (a1 + 1), d),
-        eps((a3 + 1) * (a2 + 1), d),
-    )
 
 
 def reversal_sign(flips: int, perm_parity: int, d: int) -> int:
     """Sign relating graphs differing by `flips` arrow reversals and an edge
     permutation of the given parity: (-1)^(flips*d) * (-1)^(parity*(d-1))."""
     return -1 if (flips * d + perm_parity * (d - 1)) % 2 else 1
-
-
-def _node_min(node):
-    if isinstance(node, int):
-        return node
-    return min(_node_min(node[0]), _node_min(node[1]))
-
-
-def _combine(a_node, b_node, d) -> LinCombo:
-    """Tall combination of [A, B] for tall inputs A, B with disjoint labels."""
-    if _node_min(a_node) > _node_min(b_node):
-        s = anti_sign(_node_size(a_node), _node_size(b_node), d)
-        return s * _combine(b_node, a_node, d)
-    if isinstance(b_node, int):
-        # A tall with the global minimum deepest-left, B a leaf: still a comb
-        return LinCombo.single((a_node, b_node))
-    b1, b2 = b_node
-    s_swap = anti_sign(_node_size(a_node), _node_size(b_node), d)
-    s1, s2, s3 = jacobi_signs(_node_size(a_node), _node_size(b1), _node_size(b2), d)
-    # [A,[B1,B2]] = s_swap [[B1,B2],A];  s1[[A,B1],B2] + s2[[B1,B2],A] + s3[[B2,A],B1] = 0
-    c1 = -s_swap * s1 * s2  # s2 in {-1,1} so 1/s2 = s2
-    terms = [(u, c1 * c * cu) for t, c in _combine(a_node, b1, d) for u, cu in _combine(t, b2, d)]
-    s_inner = anti_sign(_node_size(b2), _node_size(a_node), d)
-    c2 = -s_swap * s3 * s2 * s_inner
-    terms += [(u, c2 * c * cu) for t, c in _combine(a_node, b2, d) for u, cu in _combine(t, b1, d)]
-    return LinCombo(terms)
-
-
-def tall_tree_combo(t: Tree, d: int) -> LinCombo:
-    """Rewrite one tree into the tall basis (a LinCombo of tree nodes)."""
-    def go(node):
-        if isinstance(node, int):
-            return LinCombo.single(node)
-        left, right = go(node[0]), go(node[1])
-        return LinCombo([(u, lc * rc * cu) for ln, lc in left for rn, rc in right
-                         for u, cu in _combine(ln, rn, d)])
-    return go(t.node)
-
-
-def normalize_forest(f: Forest, d: int) -> LinCombo:
-    out = LinCombo.single((), 1)  # combos of tree-node tuples
-    for t in f.trees:
-        tree_combo = LinCombo.single(t.node) if t.is_tall else tall_tree_combo(t, d)
-        out = LinCombo([(nodes + (node,), c * ct)
-                        for nodes, c in out for node, ct in tree_combo])
-    terms = []
-    for nodes, c in out:
-        ordered, parity = sort_trees_with_parity(tuple(Tree(nd) for nd in nodes))
-        terms.append((Forest(ordered, f.n), c * eps(parity, d)))
-    return LinCombo(terms)
 
 
 def _tall_chains(t: Tree):
@@ -240,9 +173,6 @@ def _long_order(edges):
 
 
 def normalize_graph(g: Graph, d: int) -> LinCombo:
-    pairs = [frozenset(e) for e in g.edges]
-    if len(set(pairs)) != len(pairs):
-        return LinCombo.zero()
     oriented = _orient_away(g)
     if oriented is None:
         return LinCombo.zero()

@@ -39,7 +39,7 @@ from .errors import ValidationError
 from .graphs import Graph, enumerate_long_graphs, render_graph
 from .lincombo import LinCombo
 from .normalize import eps, normalize_pois
-from .otrees import LEAF, OTree, leaf_nadir, render_otree
+from .otrees import LEAF, OTree, leaf_nadir, may_tree, render_otree
 from .pairing import pair_basis
 from .trees import (Forest, enumerate_tall_forests, inversion_parity, render_forest,
                     vertices_before_leaf)
@@ -94,17 +94,9 @@ def cooperad(g: Graph, tau: OTree, d: int) -> CooperadOutput:
         v, branch_i, branch_j = leaf_nadir(tau, i, j)
         factor_edges[v].append((branch_i, branch_j))
         placements.append(v)
-    # pi: edge positions in concatenated (vertex-major) order vs input order
-    offsets, off = {}, 0
-    for v in vertices:
-        offsets[v] = off
-        off += len(factor_edges[v])
-    counters = {v: 0 for v in vertices}
-    concat_pos = []
-    for v in placements:
-        concat_pos.append(offsets[v] + counters[v])
-        counters[v] += 1
-    sign = eps(inversion_parity(concat_pos), d)
+    # pi stably sorts the edges by factor; ties are no inversions
+    rank = {v: r for r, v in enumerate(vertices)}
+    sign = eps(inversion_parity([rank[v] for v in placements]), d)
     factors = tuple(Graph(tau.arity(v), tuple(factor_edges[v])) for v in vertices)
     return CooperadOutput(sign, vertices, factors)
 
@@ -251,6 +243,5 @@ def all_two_level_trees(n_total: int):
     for r in range(1, n_total + 1):
         for cuts in itertools.combinations(range(1, n_total), r - 1):
             bounds = (0,) + cuts + (n_total,)
-            arities = [bounds[a + 1] - bounds[a] for a in range(r)]
-            out.append(OTree(tuple(tuple([LEAF] * m) for m in arities)))
+            out.append(may_tree(r, [bounds[a + 1] - bounds[a] for a in range(r)]))
     return out

@@ -117,11 +117,13 @@ def gram_matrix(n: int, k: int, d: int) -> GramMatrix:
     Rows and columns are both in canonical (ordered partition) order, so the
     Kronecker property of the pairing makes this the identity.
     """
+    return _gram(n, k, d, pair_basis)
+
+
+def _gram(n, k, d, pf):
     graphs = enumerate_long_graphs(n, k)
     forests = enumerate_tall_forests(n, k)
-    entries = tuple(
-        tuple(pair_basis(g, f, d).value for f in forests) for g in graphs
-    )
+    entries = tuple(tuple(pf(g, f, d).value for f in forests) for g in graphs)
     return GramMatrix(n, k, parity_name(d), entries, graphs, forests)
 
 
@@ -230,14 +232,9 @@ def verify_perfect(n: int, d: int, pair_fn=None) -> PerfectReport:
     degrees = []
     ok = True
     for k in range(n):
-        if pair_fn is None:
-            gm = gram_matrix(n, k, d)
-            graphs, failures = gm.graphs, gm.failures()
-        else:
-            graphs = enumerate_long_graphs(n, k)
-            forests = enumerate_tall_forests(n, k)
-            failures = _delta_failures((pf(g, f, d).value for f in forests) for g in graphs)
-        degrees.append(DegreeReport(k, len(graphs), not failures, failures))
+        gm = _gram(n, k, d, pf)
+        failures = gm.failures()
+        degrees.append(DegreeReport(k, gm.size, not failures, failures))
         ok = ok and not failures
     fg, ff = first_degree_bases(n)
     fd_failures = _delta_failures((pf(g, f, d).value for f in ff) for g in fg)

@@ -113,12 +113,6 @@ class Tree:
             node = node[0]
         return node == self.min_label
 
-    def subtree(self, path):
-        node = self.node
-        for step in path:
-            node = node[step]
-        return node
-
     def __repr__(self):
         return f"Tree({render_tree(self)})"
 

@@ -1,5 +1,18 @@
-"""Explicit relation instances, for annihilation testing against the pairing.
+"""Reference implementations the tests check the package against.
 
+Tree rewriting.  normalize_pois reads each tall coefficient off the dual
+basis pairing; the reference here reaches the same combination by term
+rewriting instead: anti-symmetry orients every vertex so the smaller
+minimal label sits on the left, and the (graded) Jacobi identity pushes
+the minimal leaf deeper-left until every tree is a tall comb
+(normalize_forest).  Swapping the arguments of a bracket costs
+normalize.anti_sign, and the cyclic Jacobi relation reads
+
+    sum_cyc (-1)^((|X|+1)(|Z|+1)(d-1)) [[X, Y], Z]  =  0.
+
+For odd d these reduce to the classical unsigned identities.
+
+Explicit relation instances, for annihilation testing against the pairing.
 Every element built here lies in the kernel of the quotient map, so it must
 pair to zero against the whole dual spanning set.  Tree-side instances are
 anti-symmetry, (graded) Jacobi, and forest commutativity; graph-side
@@ -11,12 +24,83 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import ValidationError
-from .graphs import Graph
-from .lincombo import LinCombo
-from .normalize import anti_sign, eps, jacobi_signs, reversal_sign
-from .trees import (Forest, PlanarForest, Tree, _node_size, inversion_parity,
-                    sort_trees_with_parity)
+from confpair.errors import ValidationError
+from confpair.graphs import Graph
+from confpair.lincombo import LinCombo
+from confpair.normalize import anti_sign, eps, reversal_sign
+from confpair.trees import (Forest, PlanarForest, Tree, _node_size, inversion_parity,
+                            sort_trees_with_parity)
+
+
+# ---------------------------------------------------------------------------
+# tree rewriting onto the tall basis
+
+def jacobi_signs(a1: int, a2: int, a3: int, d: int):
+    """Signs (s1, s2, s3) of [[T1,T2],T3], [[T2,T3],T1], [[T3,T1],T2]."""
+    return (
+        eps((a1 + 1) * (a3 + 1), d),
+        eps((a2 + 1) * (a1 + 1), d),
+        eps((a3 + 1) * (a2 + 1), d),
+    )
+
+
+def _node_min(node):
+    if isinstance(node, int):
+        return node
+    return min(_node_min(node[0]), _node_min(node[1]))
+
+
+def _combine(a_node, b_node, d) -> LinCombo:
+    """Tall combination of [A, B] for tall inputs A, B with disjoint labels."""
+    if _node_min(a_node) > _node_min(b_node):
+        s = anti_sign(_node_size(a_node), _node_size(b_node), d)
+        return s * _combine(b_node, a_node, d)
+    if isinstance(b_node, int):
+        # A tall with the global minimum deepest-left, B a leaf: still a comb
+        return LinCombo.single((a_node, b_node))
+    b1, b2 = b_node
+    s_swap = anti_sign(_node_size(a_node), _node_size(b_node), d)
+    s1, s2, s3 = jacobi_signs(_node_size(a_node), _node_size(b1), _node_size(b2), d)
+    # [A,[B1,B2]] = s_swap [[B1,B2],A];  s1[[A,B1],B2] + s2[[B1,B2],A] + s3[[B2,A],B1] = 0
+    c1 = -s_swap * s1 * s2  # s2 in {-1,1} so 1/s2 = s2
+    terms = [(u, c1 * c * cu) for t, c in _combine(a_node, b1, d) for u, cu in _combine(t, b2, d)]
+    s_inner = anti_sign(_node_size(b2), _node_size(a_node), d)
+    c2 = -s_swap * s3 * s2 * s_inner
+    terms += [(u, c2 * c * cu) for t, c in _combine(a_node, b2, d) for u, cu in _combine(t, b1, d)]
+    return LinCombo(terms)
+
+
+def tall_tree_combo(t: Tree, d: int) -> LinCombo:
+    """Rewrite one tree into the tall basis (a LinCombo of tree nodes)."""
+    def go(node):
+        if isinstance(node, int):
+            return LinCombo.single(node)
+        left, right = go(node[0]), go(node[1])
+        return LinCombo([(u, lc * rc * cu) for ln, lc in left for rn, rc in right
+                         for u, cu in _combine(ln, rn, d)])
+    return go(t.node)
+
+
+def normalize_forest(f: Forest, d: int) -> LinCombo:
+    out = LinCombo.single((), 1)  # combos of tree-node tuples
+    for t in f.trees:
+        tree_combo = LinCombo.single(t.node) if t.is_tall else tall_tree_combo(t, d)
+        out = LinCombo([(nodes + (node,), c * ct)
+                        for nodes, c in out for node, ct in tree_combo])
+    terms = []
+    for nodes, c in out:
+        ordered, parity = sort_trees_with_parity(tuple(Tree(nd) for nd in nodes))
+        terms.append((Forest(ordered, f.n), c * eps(parity, d)))
+    return LinCombo(terms)
+
+
+# ---------------------------------------------------------------------------
+# tree-side relation instances
+
+def _subtree(node, path):
+    for step in path:
+        node = node[step]
+    return node
 
 
 def _replace_subtree(node, path, new_sub):
@@ -35,7 +119,7 @@ def _with_tree(f: Forest, idx: int, new_node) -> Forest:
 
 def antisymmetry_instance(f: Forest, tree_idx: int, path) -> "callable":
     """d -> the element F - sign * F_swapped for the vertex at `path`."""
-    sub = f.trees[tree_idx].subtree(path)
+    sub = _subtree(f.trees[tree_idx].node, path)
     if isinstance(sub, int):
         raise ValidationError("anti-symmetry needs an internal vertex")
     left, right = sub
@@ -50,7 +134,7 @@ def antisymmetry_instance(f: Forest, tree_idx: int, path) -> "callable":
 def jacobi_instance(f: Forest, tree_idx: int, path):
     """d -> s1*[[T1,T2],T3] + s2*[[T2,T3],T1] + s3*[[T3,T1],T2] at `path`,
     or None when the vertex does not match the pattern [[.,.],.]."""
-    sub = f.trees[tree_idx].subtree(path)
+    sub = _subtree(f.trees[tree_idx].node, path)
     if isinstance(sub, int) or isinstance(sub[0], int):
         return None
     (t1, t2), t3 = sub
@@ -102,7 +186,7 @@ def commutativity_instances(f: Forest):
 
 
 # ---------------------------------------------------------------------------
-# graph side
+# graph-side relation instances
 
 def arrow_reversal_instance(g: Graph, flip_mask, perm):
     """d -> G - sign * G2 where G2 reverses the masked arrows and reorders

@@ -16,18 +16,17 @@ from confpair.geometry import (eval_system, limit_check, random_torus_point,
                                system_identities)
 from confpair.graphs import Graph, enumerate_long_graphs, render_graph
 from confpair.lincombo import LinCombo
-from confpair.normalize import normalize_forest, normalize_pois, normalize_siop
+from confpair.normalize import normalize_pois, normalize_siop
 from confpair.operad import all_two_level_trees, check_duality, cooperad
 from confpair.otrees import graft_tree
 from confpair.pairing import first_degree_bases, gram_matrix, pair, pair_basis, rank_table
-from confpair.relations import (arnold_instance, arrow_reversal_instance,
-                                commutativity_instances, double_edge_graph,
-                                tree_instances)
 from confpair.trees import (Tree, enumerate_tall_forests, forest, parse_forest,
                             render_forest, tree_from_leaf_order)
 
 from conftest import (all_forests, basis_count_oracle, random_forest,
                       random_graph_edges)
+from oracles import (arnold_instance, arrow_reversal_instance, commutativity_instances,
+                     double_edge_graph, normalize_forest, tree_instances)
 
 
 def report(ok, line):

@@ -194,6 +194,11 @@ def test_cache_dir_is_ignored(capsys, tmp_path):
     (["gram", "--n", "3", "--k", "-1"], 2, "validation error"),
     (["normalize", "--kind", "siop", "--n", "5", "--input", "n=4; 2->1", "--format", "json"],
      2, "validation error"),
+    (["gram", "--n", "995", "--k", "0"], 2, "validation error"),
+    (["enumerate", "--kind", "long-graphs", "--n", "1000", "--k", "1"], 2, "validation error"),
+    (["enumerate", "--kind", "long-graphs", "--n", "500", "--k", "1"], 2, "validation error"),
+    (["enumerate", "--kind", "tall-forests", "--n", "5000", "--k", "1"], 2, "validation error"),
+    (["ranks", "--n", "1700"], 2, "validation error"),
 ])
 def test_cli_contract(capsys, argv, code, prefix):
     got, out, err = run(capsys, argv)
@@ -246,3 +251,27 @@ def test_enumerate_streams_one_degree_of_a_large_n(capsys):
     lines = out.splitlines()
     assert len(lines) == 66
     assert lines[0] == "n=12; 11->12" and lines[-1] == "n=12; 1->12"
+
+
+def test_positive_degrees_are_at_least_degree_one():
+    """The log-concavity bound the size guard refuses large n by."""
+    for n in range(4, 40):
+        coeffs = poincare_coefficients(n)
+        assert min(coeffs[1:]) == coeffs[1] == n * (n - 1) // 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["gram", "--n", "995", "--k", "0"],
+    ["enumerate", "--kind", "long-graphs", "--n", "1000", "--k", "1"],
+    ["enumerate", "--kind", "tall-forests", "--n", "5000", "--k", "1"],
+    ["ranks", "--n", "1700"],
+])
+def test_oversize_input_is_refused_before_any_work(capsys, monkeypatch, argv):
+    def no_work(*args):
+        raise AssertionError("the guard let the work start")
+    for name in ("poincare_coefficients", "rank_table", "gram_matrix",
+                 "enumerate_tall_forests", "enumerate_long_graphs"):
+        monkeypatch.setattr(f"confpair.cli.{name}", no_work)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("validation error: ")

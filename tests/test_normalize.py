@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 from confpair.errors import ValidationError
 from confpair.graphs import Graph, enumerate_long_graphs, parse_graph, render_graph
 from confpair.lincombo import LinCombo
-from confpair.normalize import (anti_sign, eps, normalize_forest, normalize_graph,
-                                normalize_pois, normalize_siop)
+from confpair.normalize import anti_sign, eps, normalize_graph, normalize_pois, normalize_siop
 from confpair.pairing import pair
 from confpair.trees import (Forest, PlanarForest, Tree, enumerate_tall_forests,
                             parse_forest, render_forest)
 
 from conftest import random_forest, random_graph_edges
+from oracles import normalize_forest
 
 
 def as_dict(combo, render):

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from confpair.errors import ValidationError
@@ -7,7 +10,7 @@ from confpair.normalize import eps, normalize_pois
 from confpair.operad import (all_two_level_trees, check_duality, compose,
                              compose_along, cooperad, cooperad_combo,
                              sample_duality, two_level_sites)
-from confpair.otrees import corolla, graft_tree, may_tree, parse_otree
+from confpair.otrees import LEAF, OTree, corolla, graft_tree, may_tree, parse_otree
 from confpair.trees import enumerate_tall_forests, parse_forest, render_forest
 
 
@@ -189,3 +192,74 @@ def test_sampled_duality_beyond_exhaustive_range():
 def test_all_two_level_trees_counts():
     assert len(all_two_level_trees(3)) == 4  # compositions of 3
     assert len(all_two_level_trees(5)) == 16
+
+
+def reduced_otree_nodes(m):
+    """Every o-tree node over m leaves whose vertices all have arity >= 2."""
+    if m == 1:
+        return [LEAF]
+    out = []
+    for cuts in range(1, 1 << (m - 1)):  # compositions of m into >= 2 parts
+        bounds = [0] + [b + 1 for b in range(m - 1) if cuts >> b & 1] + [m]
+        parts = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+        out.extend(itertools.product(*map(reduced_otree_nodes, parts)))
+    return out
+
+
+def sorted_split_sign(g, tau, d):
+    """(sign pi)^(d-1), pi the sort of edge indices by (factor rank, input position)."""
+    leaf_path, vertices = {}, []
+
+    def walk(node, path):
+        if node == LEAF:
+            leaf_path[len(leaf_path) + 1] = path
+            return
+        vertices.append(path)
+        for pos, child in enumerate(node):
+            walk(child, path + (pos,))
+    walk(tau.node, ())
+    rank = {v: r for r, v in enumerate(vertices)}
+
+    def factor_rank(edge):
+        a, b = (leaf_path[x] for x in edge)
+        k = 0
+        while a[k] == b[k]:
+            k += 1
+        return rank[a[:k]]
+    pi = sorted(range(len(g.edges)), key=lambda e: (factor_rank(g.edges[e]), e))
+    seen, cycles = set(), 0
+    for start in range(len(pi)):
+        if start not in seen:
+            cycles += 1
+            while start not in seen:
+                seen.add(start)
+                start = pi[start]
+    return -1 if (len(pi) - cycles) * (d - 1) % 2 else 1
+
+
+def test_cooperad_sign_at_every_depth():
+    """Every o-tree with at most 5 leaves, at every depth: every word of up to
+    2 distinct pairs, and seeded words of 3 and 4 edges with random arrows."""
+    rng = random.Random(2006)
+    trees = [OTree(node) for m in range(2, 6) for node in reduced_otree_nodes(m)]
+    trees += [t for m in range(2, 6) for t in all_two_level_trees(m)]
+    assert max(len(v) for t in trees for v in t.internal_vertices) == 3  # depth 0..3
+    checked = 0
+    for tau in trees:
+        n = tau.n_leaves
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        words = [w for k in range(3) for w in itertools.permutations(pairs, k)]
+        words += [[e[::rng.choice((1, -1))] for e in rng.sample(pairs, k)]
+                  for k in (3, 4) for _ in range(40) if len(pairs) >= k]
+        for word in words:
+            g = Graph(n, tuple(word))
+            for d in (2, 3):
+                assert cooperad(g, tau, d).sign == sorted_split_sign(g, tau, d), (word, tau)
+                checked += 1
+    assert checked > 20_000
+
+
+def test_cooperad_sign_of_a_depth_three_split():
+    g, tau = parse_graph("n=4; 1->2, 3->4, 2->3"), parse_otree("((*,(*,*)),*)")
+    assert [cooperad(g, tau, d).sign for d in (2, 3)] == [-1, 1]
+    assert [sorted_split_sign(g, tau, d) for d in (2, 3)] == [-1, 1]

@@ -3,7 +3,7 @@ import pytest
 from confpair.errors import ValidationError
 from confpair.graphs import Graph, enumerate_long_graphs, parse_graph
 from confpair.lincombo import LinCombo
-from confpair.pairing import (PairingResult, first_degree_bases, gram_matrix,
+from confpair.pairing import (GramMatrix, PairingResult, first_degree_bases, gram_matrix,
                               pair, pair_basis, poincare_coefficients, rank_table,
                               verify_perfect)
 from confpair.trees import enumerate_tall_forests, parse_forest
@@ -144,6 +144,20 @@ def test_verify_perfect_negative_control():
 @pytest.mark.parametrize("n,d", [(3, 2), (4, 3)])
 def test_verify_perfect_pair_fn_path_matches_the_gram_path(n, d):
     assert verify_perfect(n, d, pair_fn=pair_basis) == verify_perfect(n, d)
+
+
+def test_verify_perfect_reads_each_degree_off_one_gram_matrix(monkeypatch):
+    """Both paths take each degree's verdict from GramMatrix.failures, and the
+    default path looks pair_basis up when it is called."""
+    def flip_two_edges(g, f, d):
+        res = pair_basis(g, f, d)
+        return PairingResult(-res.value, res.beta_witness) if len(g.edges) == 2 else res
+
+    monkeypatch.setattr("confpair.pairing.pair_basis", flip_two_edges)
+    assert not verify_perfect(3, 2).ok
+    monkeypatch.setattr(GramMatrix, "failures", lambda self: [])
+    assert verify_perfect(3, 2).ok
+    assert verify_perfect(3, 2, pair_fn=flip_two_edges).ok
 
 
 def test_verify_perfect_names_first_degree_failures():
