@@ -22,13 +22,19 @@ from .errors import ParseError, ValidationError, VerificationFailure
 from .geometry import limit_check
 from .graphs import enumerate_long_graphs, graph_to_json, parse_edges, parse_graph, render_graph
 from .lincombo import LinCombo
-from .normalize import normalize_pois, normalize_siop
+from .normalize import _support_size, normalize_pois, normalize_siop
 from .operad import check_duality, compose, cooperad, sample_duality
 from .otrees import parse_otree
 from .pairing import describe_pair, gram_matrix, poincare_coefficients, rank_table, verify_perfect
 from .trees import check_degree, enumerate_tall_forests, forest_to_json, parse_forest, render_forest
 
-SIZE_BUDGET = 1_000_000  # most labels `enumerate` writes, entries `gram` pairs, digits `ranks` prints
+SIZE_BUDGET = 1_000_000  # most labels, Gram entries or rank digits one command may build
+
+
+def _refuse_above_budget(size, needs):
+    """Refuse work of the given size above SIZE_BUDGET; `needs` says what it needs."""
+    if size > SIZE_BUDGET:
+        raise ValidationError(f"{needs}, above the budget of {SIZE_BUDGET}")
 
 
 def _check_budget(n, k, cost, what):
@@ -41,12 +47,11 @@ def _check_budget(n, k, cost, what):
     """
     check_degree(n, k)
     least = cost(n * (n - 1) // 2, n)
-    if n >= 4 and least > SIZE_BUDGET:
-        raise ValidationError(f"n={n} is too large: each degree 1..{n - 1} needs at least "
-                              f"{least} {what}, above the budget of {SIZE_BUDGET}")
+    if n >= 4:
+        _refuse_above_budget(least, f"n={n} is too large: each degree 1..{n - 1} needs "
+                                    f"at least {least} {what}")
     size = cost(poincare_coefficients(n)[k], n)
-    if size > SIZE_BUDGET:
-        raise ValidationError(f"n={n} k={k} needs {size} {what}, above the budget of {SIZE_BUDGET}")
+    _refuse_above_budget(size, f"n={n} k={k} needs {size} {what}")
 
 
 def _parse_combo(text, parse_element):
@@ -112,7 +117,11 @@ def cmd_normalize(args):
         "siop": (parse_graph, normalize_siop, render_graph, graph_to_json),
     }[args.kind]
     text = args.input if args.input is not None else sys.stdin.read()
-    out = normalize(_parse_combo(text, lambda s: parse(s, n=args.n)), args.d)
+    combo = _parse_combo(text, lambda s: parse(s, n=args.n))
+    if args.kind == "pois":
+        labels = sum(_support_size(f) * f.n for f, _ in combo)
+        _refuse_above_budget(labels, f"the tall expansion needs {labels} labels")
+    out = normalize(combo, args.d)
     n = args.n or (next(iter(out))[0].n if out else 0)
     _emit(args, _combo_lines(out, render), _combo_json(out, n, to_json))
     return 0
@@ -143,12 +152,12 @@ def cmd_cooperad(args):
 def cmd_gram(args):
     _check_budget(args.n, args.k, lambda size, n: size ** 2, "entries")
     gm = gram_matrix(args.n, args.k, args.d)
+    identity = not gm.failures()
     lines = [" ".join(f"{v:2d}" for v in row) for row in gm.entries]
-    payload = {"n": gm.n, "k": gm.k, "parity": gm.parity,
-               "identity": gm.is_identity(),
+    payload = {"n": gm.n, "k": gm.k, "parity": gm.parity, "identity": identity,
                "entries": [list(r) for r in gm.entries]}
-    _emit(args, lines + [f"identity: {gm.is_identity()}"], payload)
-    if not gm.is_identity():
+    _emit(args, lines + [f"identity: {identity}"], payload)
+    if not identity:
         raise VerificationFailure(f"Gram matrix n={args.n} k={args.k} is not the identity")
     return 0
 
@@ -156,9 +165,7 @@ def cmd_gram(args):
 def cmd_ranks(args):
     check_degree(args.n, 0)
     digits = args.n * math.lgamma(args.n + 1) / math.log(10)  # n ranks, each below n!
-    if digits > SIZE_BUDGET:
-        raise ValidationError(f"n={args.n} needs up to {digits:.0f} digits, "
-                              f"above the budget of {SIZE_BUDGET}")
+    _refuse_above_budget(digits, f"n={args.n} needs up to {digits:.0f} digits")
     table = rank_table(args.n, args.d)
     rows = table.csv_rows()
     lines = ["degree,rank"] + [f"{deg},{q}" for deg, q in rows]
@@ -194,7 +201,10 @@ def cmd_verify(args):
 
 def cmd_duality(args):
     tau = parse_otree(args.otree)
-    if tau.n_leaves <= 5:
+    n = tau.n_leaves
+    labels = math.factorial(n) * n  # the long graphs of every degree of n
+    _refuse_above_budget(labels, f"an o-tree with {n} leaves needs {labels} labels of long graphs")
+    if n <= 5:
         report = check_duality(tau, args.d)
     else:  # too large to exhaust: seeded random spot-check
         report = sample_duality(tau, args.d, trials=args.trials, seed=args.seed)

@@ -33,7 +33,7 @@ class Graph:
             if i == j:
                 raise ValidationError(f"edge {e} is a self-loop")
 
-    @cached_property
+    @property
     def k(self):
         return len(self.edges)
 
@@ -57,7 +57,7 @@ class Graph:
             groups.setdefault(find(v), []).append(v)
         return tuple(tuple(g) for g in sorted(groups.values()))
 
-    @cached_property
+    @property
     def is_long(self):
         return long_chain_order(self) is not None
 
@@ -66,36 +66,25 @@ class Graph:
 
 
 def long_chain_order(g: Graph):
-    """If g is long, its ordered partition blocks (chain sequences); else None."""
-    succ = {}
-    seen_pairs = set()
+    """If g is long, its ordered partition blocks (chain sequences); else None.
+
+    An edge continues the current chain when it starts where the previous
+    one ended.  g is long exactly when those chains, with each untouched
+    vertex as a singleton, form an ordered partition whose long graph is g.
+    """
+    chains = []
     for i, j in g.edges:
-        pair = frozenset((i, j))
-        if pair in seen_pairs or i in succ:
-            return None
-        seen_pairs.add(pair)
-        succ[i] = j
-    has_pred = set(succ.values())
-    if len(has_pred) != len(g.edges):
+        if chains and chains[-1][-1] == i:
+            chains[-1].append(j)
+        else:
+            chains.append([i, j])
+    touched = {v for c in chains for v in c}
+    blocks = [tuple(c) for c in chains] + [(v,) for v in range(1, g.n + 1) if v not in touched]
+    try:
+        p = OrderedPartition(tuple(sorted(blocks)))
+    except ValidationError:
         return None
-    blocks = []
-    for v in range(1, g.n + 1):
-        if v in has_pred:
-            continue
-        chain = [v]
-        while chain[-1] in succ:
-            chain.append(succ[chain[-1]])
-        if chain[0] != min(chain):
-            return None
-        blocks.append(tuple(chain))
-    if sum(len(b) for b in blocks) != g.n:
-        return None  # leftover cycle
-    blocks.sort()
-    # edge list must be the chains' edges, consecutively, in block order
-    expected = [(b[a], b[a + 1]) for b in blocks for a in range(len(b) - 1)]
-    if list(g.edges) != expected:
-        return None
-    return tuple(blocks)
+    return p.blocks if graph_of_ordered_partition(p, g.n) == g else None
 
 
 def ordered_partition_of_graph(g: Graph) -> OrderedPartition:
@@ -160,7 +149,3 @@ def render_graph(g: Graph) -> str:
 
 def graph_to_json(g: Graph):
     return {"kind": "graph", "n": g.n, "edges": [list(e) for e in g.edges]}
-
-
-def graph_from_json(obj) -> Graph:
-    return Graph(obj["n"], tuple((e[0], e[1]) for e in obj["edges"]))

@@ -24,12 +24,13 @@ critical-pair analysis.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import ValidationError
 from .graphs import Graph, graph_of_ordered_partition
 from .lincombo import LinCombo
 from .pairing import pair_basis
-from .trees import OrderedPartition, Tree, forest_of_ordered_partition, inversion_parity
+from .trees import Forest, OrderedPartition, Tree, forest_of_ordered_partition, inversion_parity
 
 
 def eps(exponent: int, d: int) -> int:
@@ -79,6 +80,17 @@ def _tall_chains(t: Tree):
         return [a + b for a in first for b in rest]
 
     return orders(t.node, t.leaf_paths[t.min_label])
+
+
+def _support_size(f: Forest) -> int:
+    """How many tall forests normalize_pois lists for f, without listing them.
+
+    Every vertex off the root path of a tree's minimum may flip: 2^(size -
+    depth of the minimum) chains per tree, multiplied over the trees.
+    """
+    if f.is_tall:
+        return 1
+    return math.prod(2 ** (t.size - len(t.leaf_paths[t.min_label])) for t in f.trees)
 
 
 def normalize_pois(x, d: int) -> LinCombo:

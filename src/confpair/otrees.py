@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ParseError, ValidationError
+from .trees import MAX_NESTING, _common_prefix
 
 LEAF = "*"
 
@@ -27,32 +28,44 @@ class OTree:
     node: object
 
     def __post_init__(self):
-        _check(self.node)
+        self._walk  # checks every node
         if self.node == LEAF:
             raise ValidationError("an o-tree root must be a vertex, not a bare leaf")
 
     @cached_property
-    def n_leaves(self):
-        return _count_leaves(self.node)
+    def _walk(self):
+        """(vertex paths, leaf paths) in depth-first order; checks every node."""
+        vertices, leaves = [], []
+        stack = [((), self.node)]
+        while stack:
+            path, node = stack.pop()
+            if node == LEAF:
+                leaves.append(path)
+            elif isinstance(node, tuple):
+                vertices.append(path)
+                stack.extend((path + (pos,), node[pos]) for pos in reversed(range(len(node))))
+            else:
+                raise ValidationError(f"bad o-tree node {node!r}")
+        return tuple(vertices), tuple(leaves)
 
-    @cached_property
+    @property
+    def n_leaves(self):
+        return len(self._walk[1])
+
+    @property
     def internal_vertices(self):
         """Vertex paths (tuples of input positions, 0-based), depth-first."""
-        out = []
-        _collect_vertices(self.node, (), out)
-        return tuple(out)
+        return self._walk[0]
 
-    @cached_property
+    @property
     def leaf_numbering(self):
         """leaf path -> canonical label 1..n, in depth-first order."""
-        out = {}
-        _number_leaves(self.node, (), out)
-        return out
+        return {p: lab for lab, p in enumerate(self._walk[1], 1)}
 
     @cached_property
     def leaf_paths(self):
         """canonical label -> leaf path, the inverse of leaf_numbering."""
-        return {lab: p for p, lab in self.leaf_numbering.items()}
+        return dict(enumerate(self._walk[1], 1))
 
     def arity(self, path):
         return len(self.subtree(path))
@@ -63,46 +76,12 @@ class OTree:
             node = node[step]
         return node
 
-    @cached_property
+    @property
     def is_corolla(self):
         return all(child == LEAF for child in self.node)
 
     def __repr__(self):
         return f"OTree({render_otree(self)})"
-
-
-def _check(node):
-    if node == LEAF:
-        return
-    if not isinstance(node, tuple):
-        raise ValidationError(f"bad o-tree node {node!r}")
-    for child in node:
-        _check(child)
-
-
-def _count_leaves(node):
-    if node == LEAF:
-        return 1
-    return sum(_count_leaves(c) for c in node)
-
-
-def _collect_vertices(node, path, out):
-    if node == LEAF:
-        return
-    out.append(path)
-    for pos, child in enumerate(node):
-        _collect_vertices(child, path + (pos,), out)
-
-
-def _number_leaves(node, path, out, counter=None):
-    if counter is None:
-        counter = [0]
-    if node == LEAF:
-        counter[0] += 1
-        out[path] = counter[0]
-        return
-    for pos, child in enumerate(node):
-        _number_leaves(child, path + (pos,), out, counter)
 
 
 def corolla(n) -> OTree:
@@ -168,9 +147,7 @@ def leaf_nadir(t: OTree, a: int, b: int):
         pa, pb = t.leaf_paths[a], t.leaf_paths[b]
     except KeyError as exc:
         raise ValidationError(f"no leaf labeled {exc.args[0]}") from exc
-    k = 0
-    while k < len(pa) and k < len(pb) and pa[k] == pb[k]:
-        k += 1
+    k = _common_prefix(pa, pb)
     return pa[:k], pa[k] + 1, pb[k] + 1
 
 
@@ -190,19 +167,22 @@ def _skip_ws(text, idx):
     return idx
 
 
-def _parse_onode(text, idx):
+def _parse_onode(text, idx, depth=0):
+    # depth: parentheses open around text[idx]
     if idx >= len(text):
         raise ParseError("unexpected end of o-tree", text, idx)
     if text[idx] == LEAF:
         return LEAF, idx + 1
     if text[idx] != "(":
         raise ParseError(f"expected '(' or '*', got {text[idx]!r}", text, idx)
+    if depth == MAX_NESTING:
+        raise ParseError(f"nesting deeper than {MAX_NESTING} levels", text, idx)
     idx = _skip_ws(text, idx + 1)
     children = []
     if idx < len(text) and text[idx] == ")":
         return (), idx + 1
     while True:
-        child, idx = _parse_onode(text, idx)
+        child, idx = _parse_onode(text, idx, depth + 1)
         children.append(child)
         idx = _skip_ws(text, idx)
         if idx >= len(text):
@@ -223,19 +203,3 @@ def render_onode(node):
 
 def render_otree(t: OTree) -> str:
     return render_onode(t.node)
-
-
-def otree_to_json(t: OTree):
-    def conv(node):
-        if node == LEAF:
-            return "*"
-        return {"children": [conv(c) for c in node]}
-    return {"kind": "otree", "root": conv(t.node)}
-
-
-def otree_from_json(obj) -> OTree:
-    def conv(node):
-        if node == "*":
-            return LEAF
-        return tuple(conv(c) for c in node["children"])
-    return OTree(conv(obj["root"]))

@@ -21,6 +21,7 @@ from functools import cached_property
 from .errors import ParseError, ValidationError
 
 LEFT, RIGHT = 0, 1
+MAX_NESTING = 500  # deepest nesting the parsers accept; walks recurse once per level
 
 
 def _node_size(node):
@@ -38,13 +39,12 @@ def _walk_leaves(node, out):
         _walk_leaves(node[1], out)
 
 
-def _walk_vertices_inorder(node, path, out):
-    # in-order: left subtree, this vertex, right subtree
-    if isinstance(node, int):
-        return
-    _walk_vertices_inorder(node[0], path + (LEFT,), out)
-    out.append(path)
-    _walk_vertices_inorder(node[1], path + (RIGHT,), out)
+def _common_prefix(p, q):
+    """Length of the longest common prefix of two root paths."""
+    k = 0
+    while k < len(p) and k < len(q) and p[k] == q[k]:
+        k += 1
+    return k
 
 
 def _walk_leaf_paths(node, path, out):
@@ -84,25 +84,29 @@ class Tree:
     def min_label(self):
         return min(self.leaf_seq)
 
-    @cached_property
+    @property
     def size(self):
         """Number of internal vertices."""
         return len(self.leaf_seq) - 1
 
-    @cached_property
+    @property
     def vertex_paths(self):
-        """Paths of internal vertices, in the in-order total order."""
-        out = []
-        _walk_vertices_inorder(self.node, (), out)
-        return tuple(out)
+        """Paths of internal vertices, in the in-order total order.
+
+        In-order alternates leaf and vertex, and the vertex between two
+        adjacent leaves is their nadir.
+        """
+        paths = list(self.leaf_paths.values())
+        return tuple(p[:_common_prefix(p, q)] for p, q in zip(paths, paths[1:]))
 
     @cached_property
     def leaf_paths(self):
+        """label -> root path of the leaf, in left-to-right planar order."""
         out = {}
         _walk_leaf_paths(self.node, (), out)
         return out
 
-    @cached_property
+    @property
     def is_tall(self):
         # left comb with the minimal label at the deepest-left position:
         # every right child is a leaf and the leftmost leaf is the minimum
@@ -189,18 +193,13 @@ class Forest:
         return out
 
     @cached_property
-    def vertex_order(self):
-        """Global internal-vertex sequence: per-tree in-order, concatenated."""
-        out = []
-        for idx, t in enumerate(self.trees):
-            out.extend((idx, p) for p in t.vertex_paths)
-        return tuple(out)
-
-    @cached_property
     def vertex_index(self):
-        return {v: i for i, v in enumerate(self.vertex_order)}
+        """(tree index, path) -> position in the global internal-vertex
+        sequence: per-tree in-order, concatenated."""
+        order = ((idx, p) for idx, t in enumerate(self.trees) for p in t.vertex_paths)
+        return {v: i for i, v in enumerate(order)}
 
-    @cached_property
+    @property
     def is_tall(self):
         return all(t.is_tall for t in self.trees)
 
@@ -264,10 +263,7 @@ def nadir(f: Forest, i: int, j: int):
         raise ValidationError(f"label {exc.args[0]} out of range 1..{f.n}") from exc
     if ti != tj:
         return None
-    k = 0
-    while k < len(pi) and k < len(pj) and pi[k] == pj[k]:
-        k += 1
-    return (ti, pi[:k])
+    return (ti, pi[:_common_prefix(pi, pj)])
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +368,8 @@ def _tokenize(text):
     return out
 
 
-def _parse_tree_tokens(tokens, idx, text):
+def _parse_tree_tokens(tokens, idx, text, depth=0):
+    # depth: brackets open around tokens[idx]
     if idx >= len(tokens):
         raise ParseError("unexpected end of input", text, len(text))
     tok, pos = tokens[idx]
@@ -380,12 +377,14 @@ def _parse_tree_tokens(tokens, idx, text):
         return int(tok), idx + 1
     if tok != "[":
         raise ParseError(f"expected leaf or '[', got {tok!r}", text, pos)
-    left, idx = _parse_tree_tokens(tokens, idx + 1, text)
+    if depth == MAX_NESTING:
+        raise ParseError(f"nesting deeper than {MAX_NESTING} levels", text, pos)
+    left, idx = _parse_tree_tokens(tokens, idx + 1, text, depth + 1)
     if idx < len(tokens) and tokens[idx][0] == "]":
         return left, idx + 1  # "[3]": bracketed singleton
     if idx >= len(tokens) or tokens[idx][0] != ",":
         raise ParseError("expected ','", text, tokens[idx][1] if idx < len(tokens) else len(text))
-    right, idx = _parse_tree_tokens(tokens, idx + 1, text)
+    right, idx = _parse_tree_tokens(tokens, idx + 1, text, depth + 1)
     if idx >= len(tokens) or tokens[idx][0] != "]":
         raise ParseError("expected ']'", text, tokens[idx][1] if idx < len(tokens) else len(text))
     return (left, right), idx + 1
@@ -437,17 +436,6 @@ def tree_node_to_json(node):
     return {"left": tree_node_to_json(node[0]), "right": tree_node_to_json(node[1])}
 
 
-def tree_node_from_json(obj):
-    if "leaf" in obj:
-        return obj["leaf"]
-    return (tree_node_from_json(obj["left"]), tree_node_from_json(obj["right"]))
-
-
 def forest_to_json(f: Forest):
     return {"kind": "forest", "n": f.n,
             "trees": [tree_node_to_json(t.node) for t in f.trees]}
-
-
-def forest_from_json(obj) -> Forest:
-    trees = [Tree(tree_node_from_json(t)) for t in obj["trees"]]
-    return forest(trees, obj["n"])

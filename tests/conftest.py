@@ -2,6 +2,7 @@
 
 import itertools
 
+from confpair.otrees import LEAF
 from confpair.trees import Forest, Tree, forest
 
 
@@ -115,3 +116,15 @@ def random_graph_edges(rng, n, k):
             j = rng.randrange(1, n + 1)
         edges.append((i, j))
     return tuple(edges)
+
+
+def reduced_otree_nodes(m):
+    """Every o-tree node over m leaves whose vertices all have arity >= 2."""
+    if m == 1:
+        return [LEAF]
+    out = []
+    for cuts in range(1, 1 << (m - 1)):  # compositions of m into >= 2 parts
+        bounds = [0] + [b + 1 for b in range(m - 1) if cuts >> b & 1] + [m]
+        parts = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+        out.extend(itertools.product(*map(reduced_otree_nodes, parts)))
+    return out

@@ -1,9 +1,35 @@
 import json
+from math import factorial
 
 import pytest
 
 from confpair.cli import SIZE_BUDGET, main
+from confpair.normalize import _support_size
 from confpair.pairing import poincare_coefficients
+from confpair.trees import parse_forest
+
+
+def left_comb(levels):
+    """[[...[1,2],3]...,levels+1]: `levels` nested brackets."""
+    text = "1"
+    for lab in range(2, levels + 2):
+        text = f"[{text},{lab}]"
+    return text
+
+
+def right_comb(n):
+    """[1,[2,...[n-1,n]]]: its tall expansion has 2^(n-2) terms."""
+    text = str(n)
+    for lab in range(n - 1, 0, -1):
+        text = f"[{lab},{text}]"
+    return text
+
+
+def nested_otree(levels):
+    return "(" * levels + "*,*" + ")" * levels
+
+
+NINE_LEAVES = "(*,*,*,*,*,*,*,(*,*))"
 
 
 def run(capsys, argv):
@@ -199,6 +225,11 @@ def test_cache_dir_is_ignored(capsys, tmp_path):
     (["enumerate", "--kind", "long-graphs", "--n", "500", "--k", "1"], 2, "validation error"),
     (["enumerate", "--kind", "tall-forests", "--n", "5000", "--k", "1"], 2, "validation error"),
     (["ranks", "--n", "1700"], 2, "validation error"),
+    (["duality", "--otree", NINE_LEAVES, "--trials", "1"], 2, "validation error"),
+    (["normalize", "--kind", "pois", "--input", right_comb(18)], 2, "validation error"),
+    (["normalize", "--kind", "pois", "--input", left_comb(1000)], 1, "parse error"),
+    (["pair", "--graph", "n=1001", "--forest", left_comb(1000)], 1, "parse error"),
+    (["cooperad", "--graph", "n=2", "--otree", nested_otree(600)], 1, "parse error"),
 ])
 def test_cli_contract(capsys, argv, code, prefix):
     got, out, err = run(capsys, argv)
@@ -265,13 +296,44 @@ def test_positive_degrees_are_at_least_degree_one():
     ["enumerate", "--kind", "long-graphs", "--n", "1000", "--k", "1"],
     ["enumerate", "--kind", "tall-forests", "--n", "5000", "--k", "1"],
     ["ranks", "--n", "1700"],
+    ["duality", "--otree", NINE_LEAVES, "--trials", "1"],
+    ["normalize", "--kind", "pois", "--input", "3 * " + right_comb(18)],
 ])
 def test_oversize_input_is_refused_before_any_work(capsys, monkeypatch, argv):
-    def no_work(*args):
+    def no_work(*args, **kwargs):
         raise AssertionError("the guard let the work start")
     for name in ("poincare_coefficients", "rank_table", "gram_matrix",
-                 "enumerate_tall_forests", "enumerate_long_graphs"):
+                 "enumerate_tall_forests", "enumerate_long_graphs",
+                 "check_duality", "sample_duality", "normalize_pois"):
         monkeypatch.setattr(f"confpair.cli.{name}", no_work)
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert err.startswith("validation error: ")
+
+
+@pytest.mark.parametrize("argv, pos", [
+    (["normalize", "--kind", "pois", "--input", "[1,2]\n2 * " + left_comb(1000)], 510),
+    (["pair", "--graph", "n=1003", "--forest", "1001 ; " + left_comb(1000)], 507),
+    (["cooperad", "--graph", "n=3", "--otree", " (*," + nested_otree(600) + ")"], 503),
+])
+def test_nesting_is_refused_at_the_first_bracket_beyond_the_bound(capsys, argv, pos):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == f"parse error: nesting deeper than 500 levels (at position {pos})\n"
+
+
+def test_deepest_admitted_nesting_still_runs(capsys):
+    chain = ", ".join(f"{i}->{i + 1}" for i in range(1, 501))
+    assert run(capsys, ["pair", "--graph", f"n=501; {chain}", "--forest", left_comb(500),
+                        "--d", "2"]) == (0, "1\n", "")
+    code, out, _ = run(capsys, ["cooperad", "--graph", "n=2; 2->1",
+                                "--otree", nested_otree(500)])
+    assert code == 0
+    assert out.splitlines()[-1] == f"vertex {[0] * 499}: n=2; 2->1"
+
+
+def test_size_budget_boundary_of_duality_and_the_tall_expansion():
+    """8-leaf duality and the 17-leaf right comb fit; 9 leaves and 18 do not."""
+    assert factorial(8) * 8 <= SIZE_BUDGET < factorial(9) * 9
+    assert _support_size(parse_forest(right_comb(17))) * 17 <= SIZE_BUDGET
+    assert _support_size(parse_forest(right_comb(18))) * 18 > SIZE_BUDGET

@@ -3,9 +3,8 @@ import itertools
 import pytest
 
 from confpair.errors import ParseError, ValidationError
-from confpair.graphs import (Graph, enumerate_long_graphs, graph_from_json,
-                             graph_of_ordered_partition, graph_to_json,
-                             long_chain_order, ordered_partition_of_graph,
+from confpair.graphs import (Graph, enumerate_long_graphs, graph_of_ordered_partition,
+                             graph_to_json, long_chain_order, ordered_partition_of_graph,
                              parse_edges, parse_graph, render_graph)
 from confpair.trees import enumerate_tall_forests, ordered_partition_of_forest
 
@@ -53,10 +52,11 @@ def test_repeated_edges_allowed_at_this_level():
 
 
 def test_render_roundtrip():
-    for text in ["n=3; 1->2, 2->3", "n=5; 3->1, 1->2", "n=2"]:
+    for text, edges in [("n=3; 1->2, 2->3", [[1, 2], [2, 3]]),
+                        ("n=5; 3->1, 1->2", [[3, 1], [1, 2]]), ("n=2", [])]:
         g = parse_graph(text)
         assert parse_graph(render_graph(g)) == g
-        assert graph_from_json(graph_to_json(g)) == g
+        assert graph_to_json(g) == {"kind": "graph", "n": g.n, "edges": edges}
 
 
 def test_long_examples():
@@ -110,6 +110,23 @@ def test_long_enumeration_matches_brute_force(n):
                 brute.add(g)
         assert set(enumerate_long_graphs(n, k)) == brute
         assert len(brute) == basis_count_oracle(n, k)
+
+
+def test_long_chain_order_matches_the_oracle_on_every_small_word():
+    words, long = 0, 0
+    for n in range(1, 5):
+        directed = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+        for k in range(5):
+            for edges in itertools.product(directed, repeat=k):
+                g = Graph(n, edges)
+                blocks = long_chain_order(g)
+                assert (blocks is not None) == _is_long_oracle(g), g
+                words += 1
+                if blocks is not None:
+                    long += 1
+                    assert blocks == ordered_partition_of_graph(g).blocks
+                    assert sorted(map(sorted, blocks)) == sorted(map(list, g.components))
+    assert (words, long) == (24208, 33)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 from confpair.errors import ValidationError
 from confpair.graphs import Graph, enumerate_long_graphs, parse_graph, render_graph
 from confpair.lincombo import LinCombo
-from confpair.normalize import anti_sign, eps, normalize_graph, normalize_pois, normalize_siop
+from confpair.normalize import (_support_size, _tall_chains, anti_sign, eps, normalize_graph,
+                                normalize_pois, normalize_siop)
 from confpair.pairing import pair
 from confpair.trees import (Forest, PlanarForest, Tree, enumerate_tall_forests,
                             parse_forest, render_forest)
 
-from conftest import random_forest, random_graph_edges
+from conftest import all_forests, random_forest, random_graph_edges
 from oracles import normalize_forest
 
 
@@ -242,3 +243,15 @@ def test_right_comb_support_is_output_sized(n):
         out = normalize_pois(right_comb(n), d)
         assert len(out) == 2 ** (n - 2)
         assert all(key.is_tall and key.size == n - 1 for key, _ in out)
+
+
+def test_support_size_counts_the_listed_chains():
+    rng = random.Random(11)
+    forests = [f for n in range(1, 6) for f in all_forests(n)]
+    forests += [random_forest(rng, rng.randint(6, 10)) for _ in range(300)]
+    for f in forests:
+        listed = 1
+        if not f.is_tall:
+            for t in f.trees:
+                listed *= len(_tall_chains(t))
+        assert _support_size(f) == listed, f

@@ -13,6 +13,8 @@ from confpair.operad import (all_two_level_trees, check_duality, compose,
 from confpair.otrees import LEAF, OTree, corolla, graft_tree, may_tree, parse_otree
 from confpair.trees import enumerate_tall_forests, parse_forest, render_forest
 
+from conftest import reduced_otree_nodes
+
 
 def as_dict(combo):
     return {render_forest(f): c for f, c in combo}
@@ -192,18 +194,6 @@ def test_sampled_duality_beyond_exhaustive_range():
 def test_all_two_level_trees_counts():
     assert len(all_two_level_trees(3)) == 4  # compositions of 3
     assert len(all_two_level_trees(5)) == 16
-
-
-def reduced_otree_nodes(m):
-    """Every o-tree node over m leaves whose vertices all have arity >= 2."""
-    if m == 1:
-        return [LEAF]
-    out = []
-    for cuts in range(1, 1 << (m - 1)):  # compositions of m into >= 2 parts
-        bounds = [0] + [b + 1 for b in range(m - 1) if cuts >> b & 1] + [m]
-        parts = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
-        out.extend(itertools.product(*map(reduced_otree_nodes, parts)))
-    return out
 
 
 def sorted_split_sign(g, tau, d):

@@ -1,11 +1,13 @@
 import itertools
+import random
 
 import pytest
 
 from confpair.errors import ParseError, ValidationError
 from confpair.otrees import (LEAF, OTree, contract, contract_all, corolla,
-                             graft_tree, leaf_nadir, may_tree, otree_from_json,
-                             otree_to_json, parse_otree, render_otree)
+                             graft_tree, leaf_nadir, may_tree, parse_otree, render_otree)
+
+from conftest import reduced_otree_nodes
 
 
 def test_corolla():
@@ -20,7 +22,6 @@ def test_parse_render_roundtrip():
     for text in ["(*,*)", "((*,*),*,*)", "(*,(*),*)", "((*,*,*),(*,*))", "()"]:
         t = parse_otree(text)
         assert render_otree(t) == text
-        assert otree_from_json(otree_to_json(t)) == t
 
 
 @pytest.mark.parametrize("text", ["*", "(*,", "(,*)", "((*)", ""])
@@ -108,3 +109,45 @@ def test_leaf_nadir_unknown_label():
 def test_bare_leaf_root_rejected():
     with pytest.raises(ValidationError):
         OTree(LEAF)
+
+
+def test_bad_node_rejected():
+    with pytest.raises(ValidationError, match="bad o-tree node 5"):
+        OTree((LEAF, (LEAF, 5)))
+
+
+def _recursive_walk(node):
+    """(vertex paths, leaf paths), depth-first, by plain recursion."""
+    vertices, leaves = [], []
+
+    def walk(node, path):
+        if node == LEAF:
+            leaves.append(path)
+            return
+        vertices.append(path)
+        for pos, child in enumerate(node):
+            walk(child, path + (pos,))
+    walk(node, ())
+    return vertices, leaves
+
+
+def _random_otree_node(rng, depth):
+    """Arities 0..3, so arity-0 and arity-1 vertices occur."""
+    if depth == 0 or rng.random() < 0.35:
+        return LEAF
+    return tuple(_random_otree_node(rng, depth - 1) for _ in range(rng.randrange(4)))
+
+
+def test_shape_matches_a_recursive_walk():
+    trees = [OTree(node) for m in range(2, 6) for node in reduced_otree_nodes(m)]
+    rng = random.Random(2006)
+    nodes = (_random_otree_node(rng, 5) for _ in range(400))
+    randoms = [OTree(node) for node in nodes if node != LEAF]
+    arities = {t.arity(v) for t in randoms for v in t.internal_vertices}
+    assert {0, 1} <= arities
+    for t in trees + randoms:
+        vertices, leaves = _recursive_walk(t.node)
+        assert t.n_leaves == len(leaves)
+        assert t.internal_vertices == tuple(vertices)
+        assert list(t.leaf_paths.items()) == list(enumerate(leaves, 1))
+        assert list(t.leaf_numbering.items()) == [(p, lab) for lab, p in enumerate(leaves, 1)]

@@ -9,7 +9,7 @@ from confpair.trees import (Forest, OrderedPartition, Tree, enumerate_tall_fores
                             parse_forest, parse_tree,
                             render_forest, single_tree_forest,
                             sort_trees_with_parity, tree_from_leaf_order,
-                            vertices_before_leaf, forest_to_json, forest_from_json)
+                            vertices_before_leaf, forest_to_json)
 
 from conftest import (all_forests, basis_count_oracle, is_tall_oracle,
                       ordered_partitions_oracle)
@@ -177,7 +177,16 @@ def test_vertices_before_leaf():
 
 def test_json_roundtrip():
     f = parse_forest("[[2,6],[[1,7],3]] ; [4,5]")
-    assert forest_from_json(forest_to_json(f)) == f
+    assert forest_to_json(f) == {"kind": "forest", "n": 7, "trees": [
+        {"left": {"left": {"leaf": 2}, "right": {"leaf": 6}},
+         "right": {"left": {"left": {"leaf": 1}, "right": {"leaf": 7}}, "right": {"leaf": 3}}},
+        {"left": {"leaf": 4}, "right": {"leaf": 5}}]}
+
+
+def _node_json(node):
+    if isinstance(node, int):
+        return {"leaf": node}
+    return {"left": _node_json(node[0]), "right": _node_json(node[1])}
 
 
 @st.composite
@@ -201,11 +210,26 @@ def forests(draw, max_n=6):
     return forest(trees, n)
 
 
+def _in_order_vertex_paths(node, path=()):
+    if isinstance(node, int):
+        return []
+    return (_in_order_vertex_paths(node[0], path + (0,)) + [path]
+            + _in_order_vertex_paths(node[1], path + (1,)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=10).flatmap(
+    lambda n: tree_nodes(tuple(range(1, n + 1)))))
+def test_vertex_paths_are_the_in_order_walk(node):
+    assert Tree(node).vertex_paths == tuple(_in_order_vertex_paths(node))
+
+
 @settings(max_examples=60, deadline=None)
 @given(forests())
 def test_parse_render_roundtrip_property(f):
     assert parse_forest(render_forest(f), n=f.n) == f
-    assert forest_from_json(forest_to_json(f)) == f
+    assert forest_to_json(f) == {"kind": "forest", "n": f.n,
+                                 "trees": [_node_json(t.node) for t in f.trees]}
 
 
 @settings(max_examples=60, deadline=None)
