@@ -22,7 +22,7 @@ from .errors import ParseError, ValidationError, VerificationFailure
 from .geometry import limit_check
 from .graphs import enumerate_long_graphs, graph_to_json, parse_edges, parse_graph, render_graph
 from .lincombo import LinCombo
-from .normalize import _support_size, normalize_pois, normalize_siop
+from .normalize import _long_support_size, _support_size, normalize_pois, normalize_siop
 from .operad import check_duality, compose, cooperad, sample_duality
 from .otrees import parse_otree
 from .pairing import describe_pair, gram_matrix, poincare_coefficients, rank_table, verify_perfect
@@ -112,15 +112,16 @@ def cmd_pair(args):
 
 
 def cmd_normalize(args):
-    parse, normalize, render, to_json = {
-        "pois": (parse_forest, normalize_pois, render_forest, forest_to_json),
-        "siop": (parse_graph, normalize_siop, render_graph, graph_to_json),
+    parse, normalize, render, to_json, support, basis = {
+        "pois": (parse_forest, normalize_pois, render_forest, forest_to_json,
+                 _support_size, "tall"),
+        "siop": (parse_graph, normalize_siop, render_graph, graph_to_json,
+                 _long_support_size, "long"),
     }[args.kind]
     text = args.input if args.input is not None else sys.stdin.read()
     combo = _parse_combo(text, lambda s: parse(s, n=args.n))
-    if args.kind == "pois":
-        labels = sum(_support_size(f) * f.n for f, _ in combo)
-        _refuse_above_budget(labels, f"the tall expansion needs {labels} labels")
+    labels = sum(support(x) * x.n for x, _ in combo)
+    _refuse_above_budget(labels, f"the {basis} expansion needs {labels} labels")
     out = normalize(combo, args.d)
     n = args.n or (next(iter(out))[0].n if out else 0)
     _emit(args, _combo_lines(out, render), _combo_json(out, n, to_json))

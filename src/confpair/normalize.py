@@ -8,17 +8,19 @@ minimum, with pairwise distinct nadirs between consecutive leaves, so
 normalize_pois lists exactly those P (_tall_chains) and reads each
 coefficient off pair_basis; its cost follows the size of the output.
 
-The rewriting reference that the tests check this against lives in
-tests/oracles.py.
+Graph side, by the same identity: the coefficient of G_P in a graph g is
+<g, F_P>.  A cycle or a repeated vertex pair makes g zero.  Otherwise orient
+each edge away from its component's minimum, `flips` of them reversed.  The
+edge into a vertex v lands on the comb vertex of F_P where v joins its
+block, so <g, F_P> != 0 exactly when each block of P orders one component
+with every vertex after its parent (_long_chains).  An oriented edge then
+runs from a leaf to a later one, so sigma_e = -1 exactly for a reversed
+edge of g; and the comb vertices come in in-order, which is the order of
+the heads in P with each block's first element dropped.  So <g, F_P> =
+reversal_sign(flips, inversion parity of the heads' positions, d).
 
-Graph side, by rewriting: repeated vertex pairs and cycles die; arrow
-reversal costs (-1)^d per arrow and a transposition of edges costs
-(-1)^(d-1); the Arnold identity a_jk a_kl + a_kl a_lj + a_lj a_jk = 0
-eliminates branch vertices.  Each Arnold step pushes a subtree one level
-deeper, so the depth-sum measure terminates at disjoint chains, which are
-then ordered canonically.  Its correctness is certified post hoc by the
-pairing oracle (coefficients against the dual basis), not by a
-critical-pair analysis.
+The rewriting references that the tests check both sides against live in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -86,10 +88,9 @@ def _support_size(f: Forest) -> int:
     """How many tall forests normalize_pois lists for f, without listing them.
 
     Every vertex off the root path of a tree's minimum may flip: 2^(size -
-    depth of the minimum) chains per tree, multiplied over the trees.
+    depth of the minimum) chains per tree, multiplied over the trees (1 for
+    a tall forest, which normalize_pois keeps as it is).
     """
-    if f.is_tall:
-        return 1
     return math.prod(2 ** (t.size - len(t.leaf_paths[t.min_label])) for t in f.trees)
 
 
@@ -153,65 +154,58 @@ def _orient_away(g: Graph):
     return tuple(oriented), flips
 
 
-def _find_branch(edges):
-    """Smallest vertex with two or more out-edges, with its two smallest
-    children's edge positions; None when every component is a chain."""
-    children = {}
-    for idx, (i, j) in enumerate(edges):
-        children.setdefault(i, []).append((j, idx))
-    branches = {v: out for v, out in children.items() if len(out) >= 2}
-    if not branches:
-        return None
-    v = min(branches)
-    out = sorted(branches[v])
-    (a, pa), (b, pb) = out[0], out[1]
-    return v, a, pa, b, pb
+def _children(n, edges):
+    """vertex -> its children, for edges oriented away from each root."""
+    children = {v: [] for v in range(1, n + 1)}
+    for i, j in edges:
+        children[i].append(j)
+    return children
 
 
-def _long_order(edges):
-    """Edge permutation parity from `edges` to canonical chain order."""
-    succ = dict(edges)
-    starts = sorted(set(succ) - set(succ.values()))
-    target = []
-    for s in starts:
-        v = s
-        while v in succ:
-            target.append((v, succ[v]))
-            v = succ[v]
-    index = {}
-    for pos, e in enumerate(edges):
-        index[e] = pos
-    return tuple(target), inversion_parity([index[e] for e in target])
+def _long_chains(root, children):
+    """The vertex orders P of a component, led by its root, with <g, F_P> != 0:
+    every vertex after its parent, by a depth-first search with no dead end."""
+    stack = [((root,), tuple(children[root]))]
+    while stack:
+        order, ready = stack.pop()
+        if not ready:
+            yield order
+        for a, v in enumerate(ready):
+            stack.append((order + (v,), (*ready[:a], *ready[a + 1:], *children[v])))
+
+
+def _long_support_size(g: Graph) -> int:
+    """How many long graphs normalize_graph lists for g, without listing them:
+    per component |C|! over the product of its subtree sizes (the hook-length
+    formula for rooted trees), multiplied over the components; 0 for a dead g."""
+    oriented = _orient_away(g)
+    if oriented is None:
+        return 0
+    children = _children(g.n, oriented[0])
+    order = [comp[0] for comp in g.components]
+    for v in order:  # breadth first: each parent before its children
+        order.extend(children[v])
+    below = {}  # subtree sizes, from the leaves up
+    for v in reversed(order):
+        below[v] = 1 + sum(below[c] for c in children[v])
+    orders = math.prod(math.factorial(len(comp)) for comp in g.components)
+    return orders // math.prod(below.values())
 
 
 def normalize_graph(g: Graph, d: int) -> LinCombo:
+    """Sum <g, F_P> * G_P over the product of g's components' chains."""
     oriented = _orient_away(g)
     if oriented is None:
         return LinCombo.zero()
     edges, flips = oriented
-    sign = reversal_sign(flips, 0, d)
+    children = _children(g.n, edges)
     terms = []
-    work = [(sign, edges)]
-    while work:
-        sign, edges = work.pop()
-        branch = _find_branch(edges)
-        if branch is None:
-            target, parity = _long_order(edges)
-            terms.append((Graph(g.n, target), sign * reversal_sign(0, parity, d)))
-            continue
-        v, a, pa, b, pb = branch
-        # bring (v,a) just before (v,b), flip it to (a,v), then Arnold:
-        #   a_av a_vb = -a_vb a_ba - a_ba a_av
-        rest = list(edges)
-        del rest[pa]
-        insert_at = pb - 1 if pa < pb else pb
-        moves = abs(insert_at - pa)
-        sign *= reversal_sign(1, moves % 2, d)
-        word1 = rest[:insert_at] + [(v, b), (b, a)] + rest[insert_at + 1:]
-        word2 = rest[:insert_at] + [(a, b), (v, a)] + rest[insert_at + 1:]
-        work.append((-sign, tuple(word1)))
-        # (b,a),(a,v) reversed in place to stay oriented away: two flips
-        work.append((-sign * reversal_sign(2, 0, d), tuple(word2)))
+    for blocks in itertools.product(*(_long_chains(comp[0], children) for comp in g.components)):
+        # the edge into v pairs with the comb vertex where v joins its block
+        joins = {v: a for a, v in enumerate(v for b in blocks for v in b[1:])}
+        parity = inversion_parity([joins[j] for _, j in edges])
+        terms.append((graph_of_ordered_partition(OrderedPartition(blocks), g.n),
+                      reversal_sign(flips, parity, d)))
     return LinCombo(terms)
 
 
@@ -221,10 +215,4 @@ def normalize_siop(x, d: int) -> LinCombo:
     sizes = {g.n for g, _ in combo}
     if len(sizes) > 1:
         raise ValidationError(f"mixed n across terms: {sorted(sizes)}")
-    terms = []
-    for g, c in combo:
-        if g.is_long:
-            terms.append((g, c))
-        else:
-            terms.extend((h, c * ch) for h, ch in normalize_graph(g, d))
-    return LinCombo(terms)
+    return LinCombo((h, c * ch) for g, c in combo for h, ch in normalize_graph(g, d))

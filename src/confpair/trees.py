@@ -318,23 +318,28 @@ def ordered_partitions(n, k):
     before its own extensions, so a depth-first search on the first block
     yields that order directly: (m,) with every tail, then (m, x) for
     increasing x, and so on.  Branches that cannot leave exactly the
-    blocks still needed are cut, so every branch yields.
+    blocks still needed are cut, so every branch yields.  The search keeps
+    its own stack of branch iterators, so n is not bounded by recursion.
     """
     check_degree(n, k)
 
-    def grow(block, rest, count):
-        # split the sorted `rest` into `count` blocks; len(rest) >= count
-        if not rest:
-            yield (block,)
-            return
+    def branches(done, block, rest, count):
+        # split the sorted `rest` into `count` more blocks; len(rest) >= count
         if count:
-            for tail in grow((rest[0],), rest[1:], count - 1):
-                yield (block,) + tail
+            yield done + (block,), (rest[0],), rest[1:], count - 1
         if len(rest) > count:
             for a, x in enumerate(rest):
-                yield from grow(block + (x,), rest[:a] + rest[a + 1:], count)
+                yield done, block + (x,), rest[:a] + rest[a + 1:], count
 
-    yield from map(OrderedPartition, grow((1,), tuple(range(2, n + 1)), n - k - 1))
+    stack = [iter([((), (1,), tuple(range(2, n + 1)), n - k - 1)])]
+    while stack:
+        state = next(stack[-1], None)
+        if state is None:
+            stack.pop()
+        elif state[2]:  # labels left to place
+            stack.append(branches(*state))
+        else:
+            yield OrderedPartition(state[0] + (state[1],))
 
 
 def enumerate_tall_forests(n, k):

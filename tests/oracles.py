@@ -12,6 +12,15 @@ normalize.anti_sign, and the cyclic Jacobi relation reads
 
 For odd d these reduce to the classical unsigned identities.
 
+Graph rewriting.  normalize_graph reads each long coefficient off the dual
+basis pairing as well; the reference here rewrites instead (rewrite_graph):
+repeated vertex pairs and cycles die; arrow reversal costs (-1)^d per arrow
+and a transposition of edges costs (-1)^(d-1); the Arnold identity
+a_jk a_kl + a_kl a_lj + a_lj a_jk = 0 eliminates branch vertices.  Each
+Arnold step pushes a subtree one level deeper, so the depth-sum measure
+terminates at disjoint chains, which are then ordered canonically.  Its
+correctness is certified by the pairing, not by a critical-pair analysis.
+
 Explicit relation instances, for annihilation testing against the pairing.
 Every element built here lies in the kernel of the quotient map, so it must
 pair to zero against the whole dual spanning set.  Tree-side instances are
@@ -27,7 +36,7 @@ import itertools
 from confpair.errors import ValidationError
 from confpair.graphs import Graph
 from confpair.lincombo import LinCombo
-from confpair.normalize import anti_sign, eps, reversal_sign
+from confpair.normalize import _orient_away, anti_sign, eps, reversal_sign
 from confpair.trees import (Forest, PlanarForest, Tree, _node_size, inversion_parity,
                             sort_trees_with_parity)
 
@@ -91,6 +100,72 @@ def normalize_forest(f: Forest, d: int) -> LinCombo:
     for nodes, c in out:
         ordered, parity = sort_trees_with_parity(tuple(Tree(nd) for nd in nodes))
         terms.append((Forest(ordered, f.n), c * eps(parity, d)))
+    return LinCombo(terms)
+
+
+# ---------------------------------------------------------------------------
+# graph rewriting onto the long basis
+
+def _find_branch(edges):
+    """Smallest vertex with two or more out-edges, with its two smallest
+    children's edge positions; None when every component is a chain."""
+    children = {}
+    for idx, (i, j) in enumerate(edges):
+        children.setdefault(i, []).append((j, idx))
+    branches = {v: out for v, out in children.items() if len(out) >= 2}
+    if not branches:
+        return None
+    v = min(branches)
+    out = sorted(branches[v])
+    (a, pa), (b, pb) = out[0], out[1]
+    return v, a, pa, b, pb
+
+
+def _long_order(edges):
+    """Edge permutation parity from `edges` to canonical chain order."""
+    succ = dict(edges)
+    starts = sorted(set(succ) - set(succ.values()))
+    target = []
+    for s in starts:
+        v = s
+        while v in succ:
+            target.append((v, succ[v]))
+            v = succ[v]
+    index = {}
+    for pos, e in enumerate(edges):
+        index[e] = pos
+    return tuple(target), inversion_parity([index[e] for e in target])
+
+
+def rewrite_graph(g: Graph, d: int) -> LinCombo:
+    """Rewrite one graph into the long basis (the reference for normalize_graph)."""
+    oriented = _orient_away(g)
+    if oriented is None:
+        return LinCombo.zero()
+    edges, flips = oriented
+    sign = reversal_sign(flips, 0, d)
+    terms = []
+    work = [(sign, edges)]
+    while work:
+        sign, edges = work.pop()
+        branch = _find_branch(edges)
+        if branch is None:
+            target, parity = _long_order(edges)
+            terms.append((Graph(g.n, target), sign * reversal_sign(0, parity, d)))
+            continue
+        v, a, pa, b, pb = branch
+        # bring (v,a) just before (v,b), flip it to (a,v), then Arnold:
+        #   a_av a_vb = -a_vb a_ba - a_ba a_av
+        rest = list(edges)
+        del rest[pa]
+        insert_at = pb - 1 if pa < pb else pb
+        moves = abs(insert_at - pa)
+        sign *= reversal_sign(1, moves % 2, d)
+        word1 = rest[:insert_at] + [(v, b), (b, a)] + rest[insert_at + 1:]
+        word2 = rest[:insert_at] + [(a, b), (v, a)] + rest[insert_at + 1:]
+        work.append((-sign, tuple(word1)))
+        # (b,a),(a,v) reversed in place to stay oriented away: two flips
+        work.append((-sign * reversal_sign(2, 0, d), tuple(word2)))
     return LinCombo(terms)
 
 

@@ -26,7 +26,7 @@ from confpair.trees import (Tree, enumerate_tall_forests, forest, parse_forest,
 from conftest import (all_forests, basis_count_oracle, random_forest,
                       random_graph_edges)
 from oracles import (arnold_instance, arrow_reversal_instance, commutativity_instances,
-                     double_edge_graph, normalize_forest, tree_instances)
+                     double_edge_graph, normalize_forest, rewrite_graph, tree_instances)
 
 
 def report(ok, line):
@@ -184,6 +184,13 @@ def test_criterion_4_normalization_soundness():
             out = normalize_siop(combo, d)
             if normalize_siop(out, d) != out:
                 bad.append(("siop idempotence", n, trial))
+                break
+            # the reversal/Arnold rewriting, certified by the same pairings
+            reference = LinCombo.zero()
+            for g, c in combo:
+                reference = reference + c * rewrite_graph(g, d)
+            if reference != out:
+                bad.append(("siop rewriting reference", n, trial))
                 break
             for f in duals_f:
                 if pair(combo, f, d) != pair(out, f, d):

@@ -4,7 +4,8 @@ from math import factorial
 import pytest
 
 from confpair.cli import SIZE_BUDGET, main
-from confpair.normalize import _support_size
+from confpair.graphs import parse_graph
+from confpair.normalize import _long_support_size, _support_size
 from confpair.pairing import poincare_coefficients
 from confpair.trees import parse_forest
 
@@ -30,6 +31,11 @@ def nested_otree(levels):
 
 
 NINE_LEAVES = "(*,*,*,*,*,*,*,(*,*))"
+
+
+def star(n):
+    """n=n; 1->2, ..., 1->n: its long expansion has (n - 1)! terms."""
+    return f"n={n}; " + ", ".join(f"1->{j}" for j in range(2, n + 1))
 
 
 def run(capsys, argv):
@@ -230,6 +236,10 @@ def test_cache_dir_is_ignored(capsys, tmp_path):
     (["normalize", "--kind", "pois", "--input", left_comb(1000)], 1, "parse error"),
     (["pair", "--graph", "n=1001", "--forest", left_comb(1000)], 1, "parse error"),
     (["cooperad", "--graph", "n=2", "--otree", nested_otree(600)], 1, "parse error"),
+    (["normalize", "--kind", "siop", "--input", star(10)], 2, "validation error"),
+    (["normalize", "--kind", "siop", "--input",
+      "\n".join(star(9).replace(f"1->{j}", f"{j}->1") for j in (1, 2, 3))],
+     2, "validation error"),
 ])
 def test_cli_contract(capsys, argv, code, prefix):
     got, out, err = run(capsys, argv)
@@ -298,13 +308,14 @@ def test_positive_degrees_are_at_least_degree_one():
     ["ranks", "--n", "1700"],
     ["duality", "--otree", NINE_LEAVES, "--trials", "1"],
     ["normalize", "--kind", "pois", "--input", "3 * " + right_comb(18)],
+    ["normalize", "--kind", "siop", "--input", "3 * " + star(10)],
 ])
 def test_oversize_input_is_refused_before_any_work(capsys, monkeypatch, argv):
     def no_work(*args, **kwargs):
         raise AssertionError("the guard let the work start")
     for name in ("poincare_coefficients", "rank_table", "gram_matrix",
                  "enumerate_tall_forests", "enumerate_long_graphs",
-                 "check_duality", "sample_duality", "normalize_pois"):
+                 "check_duality", "sample_duality", "normalize_pois", "normalize_siop"):
         monkeypatch.setattr(f"confpair.cli.{name}", no_work)
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
@@ -337,3 +348,10 @@ def test_size_budget_boundary_of_duality_and_the_tall_expansion():
     assert factorial(8) * 8 <= SIZE_BUDGET < factorial(9) * 9
     assert _support_size(parse_forest(right_comb(17))) * 17 <= SIZE_BUDGET
     assert _support_size(parse_forest(right_comb(18))) * 18 > SIZE_BUDGET
+
+
+def test_size_budget_boundary_of_the_long_expansion():
+    """The 9-vertex star fits, but not three times over; 10 vertices do not."""
+    assert _long_support_size(parse_graph(star(9))) * 9 <= SIZE_BUDGET
+    assert 3 * _long_support_size(parse_graph(star(9))) * 9 > SIZE_BUDGET
+    assert _long_support_size(parse_graph(star(10))) * 10 > SIZE_BUDGET

@@ -1,19 +1,21 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from confpair.errors import ValidationError
-from confpair.graphs import Graph, enumerate_long_graphs, parse_graph, render_graph
+from confpair.graphs import (Graph, enumerate_long_graphs, ordered_partition_of_graph,
+                             parse_graph, render_graph)
 from confpair.lincombo import LinCombo
-from confpair.normalize import (_support_size, _tall_chains, anti_sign, eps, normalize_graph,
-                                normalize_pois, normalize_siop)
-from confpair.pairing import pair
+from confpair.normalize import (_long_support_size, _support_size, _tall_chains, anti_sign,
+                                eps, normalize_graph, normalize_pois, normalize_siop)
+from confpair.pairing import pair, pair_basis
 from confpair.trees import (Forest, PlanarForest, Tree, enumerate_tall_forests,
-                            parse_forest, render_forest)
+                            forest_of_ordered_partition, parse_forest, render_forest)
 
-from conftest import all_forests, random_forest, random_graph_edges
-from oracles import normalize_forest
+from conftest import all_forests, random_forest, random_graph_edges, set_partitions
+from oracles import normalize_forest, rewrite_graph
 
 
 def as_dict(combo, render):
@@ -255,3 +257,105 @@ def test_support_size_counts_the_listed_chains():
             for t in f.trees:
                 listed *= len(_tall_chains(t))
         assert _support_size(f) == listed, f
+
+
+# ---------------------------------------------------------------------------
+# normalize_graph against the rewriting engine it replaced
+
+def small_edge_words():
+    """Every edge word with n <= 4 vertices and k <= 4 edges."""
+    for n in range(1, 5):
+        directed = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+        for k in range(5):
+            for edges in itertools.product(directed, repeat=k):
+                yield Graph(n, edges)
+
+
+def test_normalize_graph_matches_rewriting_on_every_small_word():
+    words = 0
+    for g in small_edge_words():
+        for d in (2, 3):
+            out = normalize_graph(g, d)
+            assert out == rewrite_graph(g, d), (g, d)
+        assert _long_support_size(g) == len(out), g
+        words += 1
+    assert words == 24208
+
+
+def random_forest_graph(rng, n):
+    """A forest graph on 1..n: each vertex but the first of a shuffled order
+    joins an earlier one (4 times in 5) with a random arrow, or starts a new
+    component."""
+    order = rng.sample(range(1, n + 1), n)
+    edges = []
+    for idx in range(1, n):
+        if rng.random() < 0.8:
+            parent = order[rng.randrange(idx)]
+            edges.append(rng.choice(((parent, order[idx]), (order[idx], parent))))
+    rng.shuffle(edges)
+    return Graph(n, tuple(edges))
+
+
+@st.composite
+def graph_words(draw):
+    """A forest graph on n <= 8 vertices plus up to two random edges, which
+    may close a cycle or repeat a vertex pair; the edges shuffled."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32)))
+    edges = list(random_forest_graph(rng, n).edges)
+    if n > 1:
+        edges += random_graph_edges(rng, n, draw(st.integers(min_value=0, max_value=2)))
+    rng.shuffle(edges)
+    return Graph(n, tuple(edges))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_words(), st.sampled_from((2, 3)))
+def test_normalize_graph_matches_rewriting(g, d):
+    out = normalize_graph(g, d)
+    assert out == rewrite_graph(g, d)
+    assert all(key.is_long for key, _ in out)
+    assert _long_support_size(g) == len(out)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_long_coefficients_are_dual_pairings(d):
+    rng = random.Random(80 + d)
+    for _ in range(100):
+        n = rng.randint(2, 7)
+        g = Graph(n, random_graph_edges(rng, n, rng.randint(0, n - 1)))
+        for h, c in normalize_graph(g, d):
+            dual = forest_of_ordered_partition(ordered_partition_of_graph(h), n)
+            assert pair_basis(g, dual, d).value == c, (g, h)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_reversed_long_chain_normalizes_without_recursion(d):
+    # 1000 <- 999 <- ... <- 1, listed from the far end: every edge reversed
+    g = Graph(1000, tuple((i + 1, i) for i in range(999, 0, -1)))
+    chain = Graph(1000, tuple((i, i + 1) for i in range(1, 1000)))
+    # 999 reversals, and the edge order reversed: 999 * 998 / 2 inversions
+    sign = (-1) ** (999 * d) * eps(999 * 998 // 2, d)
+    assert normalize_graph(g, d) == LinCombo.single(chain, sign)
+
+
+def test_long_support_size_counts_the_listed_chains():
+    rng = random.Random(12)
+    graphs = []
+    for n in range(1, 6):
+        # every forest on n vertices: per block, each set of |b| - 1 pairs
+        # in it that connects it; then random arrows and a random order
+        for blocks in set_partitions(list(range(1, n + 1))):
+            per_block = []
+            for b in blocks:
+                pairs = list(itertools.combinations(b, 2))
+                per_block.append([t for t in itertools.combinations(pairs, len(b) - 1)
+                                  if len(Graph(n, t).components) == n - len(b) + 1])
+            for trees in itertools.product(*per_block):
+                edges = [rng.choice((e, e[::-1])) for t in trees for e in t]
+                rng.shuffle(edges)
+                graphs.append(Graph(n, tuple(edges)))
+    assert len(graphs) == 1 + 2 + 7 + 38 + 291  # forests on n labeled vertices
+    graphs += [random_forest_graph(rng, rng.randint(6, 10)) for _ in range(200)]
+    for g in graphs:
+        assert _long_support_size(g) == len(normalize_graph(g, 2)), g

@@ -1,0 +1,24 @@
+"""The package stands alone: the reference implementations stay on the test side."""
+
+import ast
+from pathlib import Path
+
+import confpair
+
+SOURCES = sorted(Path(confpair.__file__).parent.glob("*.py"))
+
+
+def imported_modules(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield from (f"{node.module or ''}.{alias.name}" for alias in node.names)
+
+
+def test_the_package_never_imports_the_test_oracles():
+    assert len(SOURCES) >= 12
+    for path in SOURCES:
+        for name in imported_modules(path):
+            parts = name.split(".")
+            assert "tests" not in parts and "oracles" not in parts, (path.name, name)

@@ -265,6 +265,12 @@ def test_ordered_partitions_follow_the_sorted_oracle(n):
         assert enumerate_long_graphs(n, k) == [graph_of_ordered_partition(p, n) for p in want]
 
 
+def test_ordered_partitions_run_past_the_recursion_limit():
+    singletons = tuple((x,) for x in range(1, 1101))
+    assert next(ordered_partitions(1100, 0)).blocks == singletons
+    assert next(ordered_partitions(1100, 1)).blocks == singletons[:-2] + ((1099, 1100),)
+
+
 @pytest.mark.parametrize("n, k", [(0, 0), (-1, 0), (3, -1), (3, 3)])
 def test_ordered_partitions_refuse_bad_degrees(n, k):
     with pytest.raises(ValidationError):
