@@ -1,9 +1,10 @@
 """Bracket expressions over variables x_1..x_n and their forest reduction.
 
-An expression is a nested tuple: ("x", i) a variable, ("b", a, b) a bracket
-[a, b], ("d", a, b) a product a.b.  Each variable may appear at most once.
-Forests embed as products of pure bracket words; a general expression (dots
-inside brackets) reduces to that form by the Leibniz rule
+An expression is a tree node plus a product tag: an int i is the variable
+x_i, a pair (a, b) the bracket [a, b], a triple (DOT, a, b) the product
+a.b, so a forest is the product of its trees' nodes.  Each variable
+appears at most once.  A general expression (products inside brackets)
+reduces to forests by the Leibniz rule
 
     [X, Y.Z]  =  [X, Y].Z  +  (-1)^((|X| + d-1)|Y|)  Y.[X, Z]
 
@@ -15,77 +16,75 @@ the usual permutation sign on internal vertices.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import ValidationError
 from .lincombo import LinCombo
 from .normalize import anti_sign, eps
 from .trees import Forest, Tree, _node_size, sort_trees_with_parity
 
+DOT = "dot"  # tag of a product triple (DOT, a, b)
+
+
+def _kind(e):
+    """The kind of a node, "var", "br" or DOT; the one check of its shape."""
+    if isinstance(e, int):
+        return "var"
+    if isinstance(e, tuple) and (len(e) == 2 or len(e) == 3 and e[0] == DOT):
+        return DOT if len(e) == 3 else "br"
+    raise ValidationError(f"malformed expression node {e!r}")
+
 
 def var(i):
     if not isinstance(i, int) or i < 1:
         raise ValidationError(f"variable index must be a positive int, got {i!r}")
-    return ("x", i)
+    return i
 
 
 def br(a, b):
-    return ("b", a, b)
+    return (a, b)
 
 
 def dot(a, b):
-    return ("d", a, b)
+    return (DOT, a, b)
 
 
 def dot_list(exprs):
-    out = exprs[0]
-    for e in exprs[1:]:
-        out = dot(out, e)
-    return out
+    return functools.reduce(dot, exprs)
 
 
 def expr_vars(e):
-    if e[0] == "x":
-        return (e[1],)
-    return expr_vars(e[1]) + expr_vars(e[2])
+    if _kind(e) == "var":
+        return (e,)
+    return expr_vars(e[-2]) + expr_vars(e[-1])
 
 
 def render_expr(e):
-    if e[0] == "x":
-        return f"x{e[1]}"
-    if e[0] == "b":
-        return f"[{render_expr(e[1])},{render_expr(e[2])}]"
-    left = render_expr(e[1])
-    right = render_expr(e[2])
-    if e[1][0] == "d":
+    kind = _kind(e)
+    if kind == "var":
+        return f"x{e}"
+    left, right = render_expr(e[-2]), render_expr(e[-1])
+    if kind == "br":
+        return f"[{left},{right}]"
+    if _kind(e[1]) == DOT:
         left = f"({left})"
-    if e[2][0] == "d":
+    if _kind(e[2]) == DOT:
         right = f"({right})"
     return f"{left}*{right}"
 
 
-def tree_to_expr(node):
-    if isinstance(node, int):
-        return var(node)
-    return br(tree_to_expr(node[0]), tree_to_expr(node[1]))
-
-
 def forest_to_expr(f: Forest):
-    """Canonical expression of a forest: dot product of its bracket words."""
+    """Canonical expression of a forest: the product of its trees' nodes."""
     if not f.trees:
         raise ValidationError("an empty forest has no bracket expression")
-    return dot_list([tree_to_expr(t.node) for t in f.trees])
+    return dot_list([t.node for t in f.trees])
 
 
-def relabel_expr(e, mapping):
-    if e[0] == "x":
-        return ("x", mapping(e[1]))
-    return (e[0], relabel_expr(e[1], mapping), relabel_expr(e[2], mapping))
-
-
-def substitute(e, i, replacement):
-    """Replace the variable x_i by `replacement` (which must not reuse vars)."""
-    if e[0] == "x":
-        return replacement if e[1] == i else e
-    return (e[0], substitute(e[1], i, replacement), substitute(e[2], i, replacement))
+def map_vars(e, fn):
+    """Replace each variable v of e by the expression fn(v)."""
+    if _kind(e) == "var":
+        return fn(e)
+    return e[:-2] + (map_vars(e[-2], fn), map_vars(e[-1], fn))  # e[:-2]: () or (DOT,)
 
 
 # ---------------------------------------------------------------------------
@@ -118,22 +117,19 @@ def _bracket_monomials(u_trees, w_trees, d):
 
 def _reduce_monomials(e, d):
     """Expression -> list of (coeff, tuple of tree nodes in product order)."""
-    if e[0] == "x":
-        return [(1, (e[1],))]
-    if e[0] == "d":
-        left = _reduce_monomials(e[1], d)
-        right = _reduce_monomials(e[2], d)
+    kind = _kind(e)
+    if kind == "var":
+        return [(1, (e,))]
+    left = _reduce_monomials(e[-2], d)
+    right = _reduce_monomials(e[-1], d)
+    if kind == DOT:
         return [(ca * cb, ta + tb) for ca, ta in left for cb, tb in right]
-    if e[0] == "b":
-        left = _reduce_monomials(e[1], d)
-        right = _reduce_monomials(e[2], d)
-        out = []
-        for ca, ta in left:
-            for cb, tb in right:
-                for c, trees in _bracket_monomials(ta, tb, d):
-                    out.append((ca * cb * c, trees))
-        return out
-    raise ValidationError(f"malformed expression node {e!r}")
+    out = []
+    for ca, ta in left:
+        for cb, tb in right:
+            for c, trees in _bracket_monomials(ta, tb, d):
+                out.append((ca * cb * c, trees))
+    return out
 
 
 def reduce_expr(e, d: int) -> LinCombo:
@@ -153,6 +149,6 @@ def reduce_expr(e, d: int) -> LinCombo:
 
 def reduce_bracket(b, d: int) -> LinCombo:
     """Reduce a LinCombo of expressions (or one expression) to forests."""
-    if isinstance(b, tuple):
+    if not isinstance(b, LinCombo):
         return reduce_expr(b, d)
     return LinCombo([(f, c * cf) for e, c in b for f, cf in reduce_expr(e, d)])

@@ -23,7 +23,7 @@ from .geometry import limit_check
 from .graphs import enumerate_long_graphs, graph_to_json, parse_edges, parse_graph, render_graph
 from .lincombo import LinCombo
 from .normalize import _long_support_size, _support_size, normalize_pois, normalize_siop
-from .operad import check_duality, compose, cooperad, sample_duality
+from .operad import check_duality, cooperad, sample_duality, substitute_basis
 from .otrees import parse_otree
 from .pairing import describe_pair, gram_matrix, poincare_coefficients, rank_table, verify_perfect
 from .trees import check_degree, enumerate_tall_forests, forest_to_json, parse_forest, render_forest
@@ -131,10 +131,15 @@ def cmd_normalize(args):
 def cmd_compose(args):
     outer = parse_forest(args.outer)
     inner = parse_forest(args.inner)
-    out = compose(outer, args.index, inner, args.d)
     n = outer.n + inner.n - 1
-    _emit(args, _combo_lines(out, render_forest),
-          _combo_json(out, n, forest_to_json))
+    # r inner trees under h brackets expand to r^h forests; substitute_basis refuses a bad index
+    forests = len(inner.trees) ** len(outer.leaf_info.get(args.index, (0, ()))[1])
+    _refuse_above_budget(forests * n, f"the Leibniz expansion has {forests} forests of {n} labels")
+    reduced = substitute_basis(outer, args.index, inner, args.d)
+    labels = sum(_support_size(f) for f, _ in reduced) * n
+    _refuse_above_budget(labels, f"the tall expansion needs {labels} labels")
+    out = normalize_pois(reduced, args.d)
+    _emit(args, _combo_lines(out, render_forest), _combo_json(out, n, forest_to_json))
     return 0
 
 

@@ -1,8 +1,8 @@
 """Operadic composition on forests and the dual structure map on graphs.
 
-compose substitutes the inner bracket expression for a variable of the
-outer one (inner variables relabel to x_i..x_{i+m-1}, later outer
-variables shift up by m-1), Leibniz-reduces, and lands in the tall basis.
+compose substitutes the inner expression (the product of its trees' nodes,
+relabelled to x_i..x_{i+m-1}) for x_i in the outer one, whose later
+variables shift up by m-1, Leibniz-reduces, and lands in the tall basis.
 Substitution alone is not well-defined on the quotient when d is even: a
 positive-degree element entering a degree-0 variable slot retroactively
 changes every commutation the variable took part in.  The honest graded
@@ -34,7 +34,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .brackets import forest_to_expr, reduce_expr, relabel_expr, substitute
+from .brackets import forest_to_expr, map_vars, reduce_expr
 from .errors import ValidationError
 from .graphs import Graph, enumerate_long_graphs, render_graph
 from .lincombo import LinCombo
@@ -45,15 +45,20 @@ from .trees import (Forest, enumerate_tall_forests, inversion_parity, render_for
                     vertices_before_leaf)
 
 
-def compose_basis(f1: Forest, i: int, f2: Forest, d: int) -> LinCombo:
+def substitute_basis(f1: Forest, i: int, f2: Forest, d: int) -> LinCombo:
+    """compose_basis before tall normalization: substitute, Leibniz-reduce, sign."""
     n, m = f1.n, f2.n
     if not 1 <= i <= n:
         raise ValidationError(f"composition index {i} out of range 1..{n}")
-    outer = relabel_expr(forest_to_expr(f1), lambda v: v + m - 1 if v > i else v)
-    inner = relabel_expr(forest_to_expr(f2), lambda v: v + i - 1)
-    combined = substitute(outer, i, inner)
+    inner = map_vars(forest_to_expr(f2), lambda v: v + i - 1)
+    combined = map_vars(forest_to_expr(f1),
+                        lambda v: inner if v == i else v + m - 1 if v > i else v)
     sign = eps(f2.size * vertices_before_leaf(f1, i), d)
-    return sign * normalize_pois(reduce_expr(combined, d), d)
+    return sign * reduce_expr(combined, d)
+
+
+def compose_basis(f1: Forest, i: int, f2: Forest, d: int) -> LinCombo:
+    return normalize_pois(substitute_basis(f1, i, f2, d), d)
 
 
 def compose(b1, i: int, b2, d: int) -> LinCombo:

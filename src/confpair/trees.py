@@ -130,13 +130,17 @@ def tree_from_leaf_order(seq):
 
 
 def inversion_parity(seq):
-    """Parity (0 or 1) of the number of inversions of a sequence."""
-    inv = 0
-    for a, x in enumerate(seq):
-        for y in seq[a + 1:]:
-            if x > y:
-                inv += 1
-    return inv % 2
+    """Parity (0 or 1) of the number of inversions of a sequence: that of its
+    stable sorting permutation (a tie is no inversion), sorted here by swaps,
+    one per element out of place: length minus cycles in all."""
+    perm = sorted(range(len(seq)), key=seq.__getitem__)
+    swaps = 0
+    for a in range(len(perm)):
+        while perm[a] != a:  # swap perm[a] into its place
+            b = perm[a]
+            perm[a], perm[b] = perm[b], b
+            swaps += 1
+    return swaps % 2
 
 
 def sort_trees_with_parity(trees):

@@ -1,7 +1,7 @@
 import pytest
 
-from confpair.brackets import (br, dot, dot_list, forest_to_expr, reduce_bracket,
-                               reduce_expr, render_expr, var)
+from confpair.brackets import (DOT, br, dot, dot_list, forest_to_expr, map_vars,
+                               reduce_bracket, reduce_expr, render_expr, var)
 from confpair.errors import ValidationError
 from confpair.lincombo import LinCombo
 from confpair.trees import parse_forest, render_forest
@@ -84,3 +84,32 @@ def test_degree_additivity_of_reduction():
     for d in (2, 3):
         for f, _ in reduce_expr(e, d):
             assert f.size == 2
+
+
+def test_expressions_are_tree_nodes_with_a_product_tag():
+    assert var(3) == 3
+    assert br(var(1), var(2)) == (1, 2)
+    assert dot(var(1), var(2)) == (DOT, 1, 2)
+    f = parse_forest("[[2,6],[[1,7],3]] ; [4,5] ; 8")
+    assert forest_to_expr(f) == dot_list([t.node for t in f.trees])
+    assert render_expr(forest_to_expr(f)) == "([[x2,x6],[[x1,x7],x3]]*[x4,x5])*x8"
+
+
+def test_map_vars_relabels_and_substitutes():
+    e = br(var(1), dot(var(2), var(3)))
+    assert map_vars(e, lambda v: v + 1) == br(var(2), dot(var(3), var(4)))
+    inner = br(var(2), var(3))
+    assert map_vars(br(var(1), var(2)), lambda v: inner if v == 2 else v) == (1, (2, 3))
+    assert render_expr(map_vars(e, lambda v: dot(var(3), var(4)) if v == 3 else v)) == \
+        "[x1,x2*(x3*x4)]"
+
+
+MALFORMED = [(1,), "ab", (1, 2, 3), [1, 2], (DOT, 1), None]
+
+
+@pytest.mark.parametrize("node", MALFORMED, ids=repr)
+@pytest.mark.parametrize("reduce", [reduce_expr, reduce_bracket])
+def test_malformed_expression_nodes_are_refused(reduce, node):
+    for e in (node, br(var(1), node), dot(node, var(1))):
+        with pytest.raises(ValidationError, match="malformed expression node"):
+            reduce(e, 2)

@@ -1,10 +1,14 @@
 import json
+import shlex
+import time
 from math import factorial
+from pathlib import Path
 
 import pytest
 
 from confpair.cli import SIZE_BUDGET, main
 from confpair.graphs import parse_graph
+from confpair.lincombo import LinCombo
 from confpair.normalize import _long_support_size, _support_size
 from confpair.pairing import poincare_coefficients
 from confpair.trees import parse_forest
@@ -309,13 +313,16 @@ def test_positive_degrees_are_at_least_degree_one():
     ["duality", "--otree", NINE_LEAVES, "--trials", "1"],
     ["normalize", "--kind", "pois", "--input", "3 * " + right_comb(18)],
     ["normalize", "--kind", "siop", "--input", "3 * " + star(10)],
+    ["compose", "--outer", left_comb(11), "--index", "1", "--inner", "1 ; 2 ; 3"],
+    ["compose", "--outer", left_comb(499), "--index", "2", "--inner", "1 ; 2"],
 ])
 def test_oversize_input_is_refused_before_any_work(capsys, monkeypatch, argv):
     def no_work(*args, **kwargs):
         raise AssertionError("the guard let the work start")
     for name in ("poincare_coefficients", "rank_table", "gram_matrix",
                  "enumerate_tall_forests", "enumerate_long_graphs",
-                 "check_duality", "sample_duality", "normalize_pois", "normalize_siop"):
+                 "check_duality", "sample_duality", "normalize_pois", "normalize_siop",
+                 "substitute_basis"):
         monkeypatch.setattr(f"confpair.cli.{name}", no_work)
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
@@ -355,3 +362,51 @@ def test_size_budget_boundary_of_the_long_expansion():
     assert _long_support_size(parse_graph(star(9))) * 9 <= SIZE_BUDGET
     assert 3 * _long_support_size(parse_graph(star(9))) * 9 > SIZE_BUDGET
     assert _long_support_size(parse_graph(star(10))) * 10 > SIZE_BUDGET
+
+
+@pytest.mark.parametrize("outer, inner, verdict", [
+    ("[1,2]", right_comb(17), 1),  # one forest of support 2^15: 589,824 labels
+    ("[1,2]", right_comb(18), "the tall expansion needs 1245184 labels"),
+    ("[1,2]", right_comb(500), "the tall expansion needs "),
+    (left_comb(10), "1 ; 2 ; 3", 3 ** 10),  # each of support 1 and 13 labels: 767,637
+    (left_comb(11), "1 ; 2 ; 3", "the Leibniz expansion has 177147 forests of 14 labels"),
+], ids=["inner-17", "inner-18", "inner-500", "outer-11", "outer-12"])
+def test_compose_size_guard_boundary(capsys, monkeypatch, outer, inner, verdict):
+    """Refused: exit 2 before tall normalization.  Admitted: the Leibniz
+    reduction reaches normalize_pois, here a stub that counts its forests."""
+    reduced = []
+
+    def count_forests(combo, d):
+        reduced.append(len(combo))
+        return LinCombo.zero()
+    monkeypatch.setattr("confpair.cli.normalize_pois", count_forests)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["compose", "--outer", outer, "--index", "1", "--inner", inner])
+    if isinstance(verdict, int):
+        assert (code, out, err, reduced) == (0, "", "", [verdict])
+    else:
+        assert (code, out, reduced) == (2, "", [])
+        assert err.startswith(f"validation error: {verdict}")
+        assert time.perf_counter() - start < 1.0
+
+
+def test_compose_keeps_its_message_for_a_bad_index(capsys):
+    assert run(capsys, ["compose", "--outer", "[1,2]", "--index", "3", "--inner", "[1,2]"]) == (
+        2, "", "validation error: composition index 3 out of range 1..2\n")
+
+
+def readme_cli_examples():
+    """The `confpair ...` lines of the README's CLI code block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("confpair ")]
+
+
+@pytest.mark.parametrize("line", readme_cli_examples(), ids=lambda line: line.split()[1])
+def test_readme_cli_examples_run(capsys, line):
+    argv = shlex.split(line, comments=True)[1:]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    if argv[0] == "pair":
+        assert out == line.rsplit("#", 1)[1].strip() + "\n"

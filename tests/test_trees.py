@@ -1,10 +1,12 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from confpair.errors import ParseError, ValidationError
 from confpair.graphs import enumerate_long_graphs, graph_of_ordered_partition
 from confpair.trees import (Forest, OrderedPartition, Tree, enumerate_tall_forests,
-                            forest, forest_of_ordered_partition, nadir,
+                            forest, forest_of_ordered_partition, inversion_parity, nadir,
                             ordered_partition_of_forest, ordered_partitions,
                             parse_forest, parse_tree,
                             render_forest, single_tree_forest,
@@ -163,6 +165,23 @@ def test_sort_parity_counts_vertex_blocks():
     c = tree_from_leaf_order((1, 2))
     _, parity3 = sort_trees_with_parity((a, c))
     assert parity3 == 1
+
+
+def pairwise_inversion_parity(seq):
+    """The definition, pair by pair: a tie is no inversion."""
+    return sum(x > y for a, x in enumerate(seq) for y in seq[a + 1:]) % 2
+
+
+def test_inversion_parity_matches_the_pairwise_count():
+    for k in range(8):
+        for seq in itertools.product("abcd", repeat=k):
+            assert inversion_parity(seq) == pairwise_inversion_parity(seq), seq
+
+
+def test_inversion_parity_of_a_long_reversal():
+    """16,000 entries, where a pair-by-pair count would compare 128M pairs."""
+    for k in (16_000, 16_001, 16_002, 16_003):
+        assert inversion_parity(list(range(k, 0, -1))) == (k * (k - 1) // 2) % 2
 
 
 def test_vertices_before_leaf():
