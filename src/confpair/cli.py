@@ -26,9 +26,20 @@ from .normalize import _long_support_size, _support_size, normalize_pois, normal
 from .operad import check_duality, cooperad, sample_duality, substitute_basis
 from .otrees import parse_otree
 from .pairing import describe_pair, gram_matrix, poincare_coefficients, rank_table, verify_perfect
-from .trees import check_degree, enumerate_tall_forests, forest_to_json, parse_forest, render_forest
+from .trees import (MAX_NESTING, check_degree, enumerate_tall_forests, forest_to_json,
+                    parse_forest, render_forest)
 
 SIZE_BUDGET = 1_000_000  # most labels, Gram entries or rank digits one command may build
+
+
+def _compact(size):
+    """size in full up to 15 digits, else `more than 10^N` with N = digits - 1."""
+    if size < 10 ** 15:
+        return str(size)
+    n = int(math.log10(size))  # log10 reads a big int without float(), which overflows
+    n += 10 ** (n + 1) <= size  # and may round either way next to a power of 10
+    n -= 10 ** n > size
+    return f"more than 10^{n}"
 
 
 def _refuse_above_budget(size, needs):
@@ -49,9 +60,9 @@ def _check_budget(n, k, cost, what):
     least = cost(n * (n - 1) // 2, n)
     if n >= 4:
         _refuse_above_budget(least, f"n={n} is too large: each degree 1..{n - 1} needs "
-                                    f"at least {least} {what}")
+                                    f"at least {_compact(least)} {what}")
     size = cost(poincare_coefficients(n)[k], n)
-    _refuse_above_budget(size, f"n={n} k={k} needs {size} {what}")
+    _refuse_above_budget(size, f"n={n} k={k} needs {_compact(size)} {what}")
 
 
 def _parse_combo(text, parse_element):
@@ -73,7 +84,7 @@ def _parse_combo(text, parse_element):
             terms.append((parse_element(element_text), coeff))
         except ParseError as exc:  # the element ends where the line does
             raise exc.within(text, start + len(line) - len(element_text)) from None
-    return LinCombo(terms)
+    return terms
 
 
 def _parse_number(kind, chunk, text, pos):
@@ -119,11 +130,12 @@ def cmd_normalize(args):
                  _long_support_size, "long"),
     }[args.kind]
     text = args.input if args.input is not None else sys.stdin.read()
-    combo = _parse_combo(text, lambda s: parse(s, n=args.n))
+    terms = _parse_combo(text, lambda s: parse(s, n=args.n))
+    combo = LinCombo(terms)
     labels = sum(support(x) * x.n for x, _ in combo)
-    _refuse_above_budget(labels, f"the {basis} expansion needs {labels} labels")
+    _refuse_above_budget(labels, f"the {basis} expansion needs {_compact(labels)} labels")
     out = normalize(combo, args.d)
-    n = args.n or (next(iter(out))[0].n if out else 0)
+    n = args.n or next((x.n for x, _ in combo or terms), 0)  # a zero result keeps the input's n
     _emit(args, _combo_lines(out, render), _combo_json(out, n, to_json))
     return 0
 
@@ -132,12 +144,18 @@ def cmd_compose(args):
     outer = parse_forest(args.outer)
     inner = parse_forest(args.inner)
     n = outer.n + inner.n - 1
-    # r inner trees under h brackets expand to r^h forests; substitute_basis refuses a bad index
-    forests = len(inner.trees) ** len(outer.leaf_info.get(args.index, (0, ()))[1])
-    _refuse_above_budget(forests * n, f"the Leibniz expansion has {forests} forests of {n} labels")
+    # leaf i sits under h brackets (none for a bad index, which substitute_basis refuses)
+    h = len(outer.leaf_info.get(args.index, (0, ()))[1])
+    depth = h + max(len(path) for _, path in inner.leaf_info.values())
+    if depth > MAX_NESTING:
+        raise ValidationError(f"the composite nests up to {depth} levels, "
+                              f"deeper than {MAX_NESTING}")
+    forests = len(inner.trees) ** h  # r inner trees under h brackets expand to r^h forests
+    _refuse_above_budget(forests * n,
+                         f"the Leibniz expansion has {_compact(forests)} forests of {n} labels")
     reduced = substitute_basis(outer, args.index, inner, args.d)
     labels = sum(_support_size(f) for f, _ in reduced) * n
-    _refuse_above_budget(labels, f"the tall expansion needs {labels} labels")
+    _refuse_above_budget(labels, f"the tall expansion needs {_compact(labels)} labels")
     out = normalize_pois(reduced, args.d)
     _emit(args, _combo_lines(out, render_forest), _combo_json(out, n, forest_to_json))
     return 0
@@ -209,10 +227,13 @@ def cmd_duality(args):
     tau = parse_otree(args.otree)
     n = tau.n_leaves
     labels = math.factorial(n) * n  # the long graphs of every degree of n
-    _refuse_above_budget(labels, f"an o-tree with {n} leaves needs {labels} labels of long graphs")
+    _refuse_above_budget(labels, f"an o-tree with {n} leaves needs {_compact(labels)} labels "
+                                 f"of long graphs")
     if n <= 5:
         report = check_duality(tau, args.d)
     else:  # too large to exhaust: seeded random spot-check
+        labels = args.trials * n
+        _refuse_above_budget(labels, f"{args.trials} trials need {_compact(labels)} labels")
         report = sample_duality(tau, args.d, trials=args.trials, seed=args.seed)
     lines = [f"cases {report.cases_checked} failures {len(report.failures)}"]
     _emit(args, lines, report.to_json())
@@ -229,6 +250,9 @@ def cmd_geom_check(args):
     for chunk in args.eps.split(","):
         eps_list.append(_parse_number(float, chunk, args.eps, pos))
         pos += len(chunk) + 1
+    labels = args.samples * len(eps_list) * f.n
+    _refuse_above_budget(labels, f"{args.samples} samples at {len(eps_list)} eps "
+                                 f"need {_compact(labels)} labels")
     report = limit_check(f, g, args.d, eps_list, seed=args.seed,
                          samples=args.samples)
     lines = [

@@ -144,6 +144,8 @@ def limit_check(f: Forest, g: Graph, d: int, eps_list, seed: int = 0,
     x_i - x_j; the limit is sigma_e u_nadir within one tree and the +-e_1
     axis direction across trees.
     """
+    if samples < 1:
+        raise ValidationError(f"samples must be >= 1, got {samples}")
     if g.n != f.n:
         raise ValidationError("graph and forest sizes differ")
     rng = np.random.default_rng(seed)

@@ -13,7 +13,6 @@ numbering coincides with depth-first (planar) order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import ParseError, ValidationError
 from .trees import MAX_NESTING, _common_prefix
@@ -28,13 +27,9 @@ class OTree:
     node: object
 
     def __post_init__(self):
-        self._walk  # checks every node
-        if self.node == LEAF:
-            raise ValidationError("an o-tree root must be a vertex, not a bare leaf")
-
-    @cached_property
-    def _walk(self):
-        """(vertex paths, leaf paths) in depth-first order; checks every node."""
+        """Check every node and store internal_vertices (vertex paths: tuples
+        of 0-based input positions) and leaf_paths (canonical label -> leaf
+        path), both in depth-first order."""
         vertices, leaves = [], []
         stack = [((), self.node)]
         while stack:
@@ -46,26 +41,19 @@ class OTree:
                 stack.extend((path + (pos,), node[pos]) for pos in reversed(range(len(node))))
             else:
                 raise ValidationError(f"bad o-tree node {node!r}")
-        return tuple(vertices), tuple(leaves)
+        if self.node == LEAF:
+            raise ValidationError("an o-tree root must be a vertex, not a bare leaf")
+        object.__setattr__(self, "internal_vertices", tuple(vertices))
+        object.__setattr__(self, "leaf_paths", dict(enumerate(leaves, 1)))
 
     @property
     def n_leaves(self):
-        return len(self._walk[1])
-
-    @property
-    def internal_vertices(self):
-        """Vertex paths (tuples of input positions, 0-based), depth-first."""
-        return self._walk[0]
+        return len(self.leaf_paths)
 
     @property
     def leaf_numbering(self):
-        """leaf path -> canonical label 1..n, in depth-first order."""
-        return {p: lab for lab, p in enumerate(self._walk[1], 1)}
-
-    @cached_property
-    def leaf_paths(self):
-        """canonical label -> leaf path, the inverse of leaf_numbering."""
-        return dict(enumerate(self._walk[1], 1))
+        """leaf path -> canonical label 1..n, the inverse of leaf_paths."""
+        return {p: lab for lab, p in self.leaf_paths.items()}
 
     def arity(self, path):
         return len(self.subtree(path))

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from .errors import ValidationError
 from .graphs import Graph, enumerate_long_graphs, render_graph
 from .lincombo import LinCombo
-from .trees import (Forest, Tree, enumerate_tall_forests, inversion_parity, render_forest,
-                    single_tree_forest)
+from .trees import (Forest, Tree, check_degree, enumerate_tall_forests, inversion_parity,
+                    render_forest, single_tree_forest)
 
 
 @dataclass(frozen=True)
@@ -226,6 +226,7 @@ def verify_perfect(n: int, d: int, pair_fn=None) -> PerfectReport:
     pair_fn exists so tests can inject a corrupted sign convention as a
     negative control; the default is the real pairing.
     """
+    check_degree(n, 0)
     if n > 7:
         raise ValidationError("verify_perfect is desk-scale: n <= 7")
     pf = pair_fn or pair_basis
@@ -239,9 +240,6 @@ def verify_perfect(n: int, d: int, pair_fn=None) -> PerfectReport:
     fg, ff = first_degree_bases(n)
     fd_failures = _delta_failures((pf(g, f, d).value for f in ff) for g in fg)
     ok = ok and not fd_failures
-    expected = n * (n - 1) // 2
-    if len(fg) != expected:
-        ok = False
     return PerfectReport(
         n, parity_name(d), degrees,
         len(fg), not fd_failures, fd_failures, ok,

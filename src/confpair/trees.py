@@ -62,27 +62,19 @@ class Tree:
     node: object
 
     def __post_init__(self):
-        seq = self.leaf_seq
-        if len(set(seq)) != len(seq):
+        """Validate the leaves and store what the walk over them reads off:
+        leaf_seq (labels in left-to-right planar order), labels, min_label."""
+        out = []
+        _walk_leaves(self.node, out)
+        seq, labels = tuple(out), frozenset(out)
+        if len(labels) != len(seq):
             raise ValidationError(f"duplicate leaf labels in tree: {seq}")
         for lab in seq:
             if not isinstance(lab, int) or lab < 1:
                 raise ValidationError(f"leaf labels must be positive ints, got {lab!r}")
-
-    @cached_property
-    def leaf_seq(self):
-        """Leaf labels in left-to-right planar order."""
-        out = []
-        _walk_leaves(self.node, out)
-        return tuple(out)
-
-    @cached_property
-    def labels(self):
-        return frozenset(self.leaf_seq)
-
-    @cached_property
-    def min_label(self):
-        return min(self.leaf_seq)
+        object.__setattr__(self, "leaf_seq", seq)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "min_label", min(seq))
 
     @property
     def size(self):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from confpair.cli import SIZE_BUDGET, main
+from confpair.cli import SIZE_BUDGET, _compact, main
 from confpair.graphs import parse_graph
 from confpair.lincombo import LinCombo
 from confpair.normalize import _long_support_size, _support_size
@@ -35,6 +35,8 @@ def nested_otree(levels):
 
 
 NINE_LEAVES = "(*,*,*,*,*,*,*,(*,*))"
+SIX_LEAVES = "((*,*,*),(*,*,*))"
+FOUR_POINTS = ["geom-check", "--forest", "[1,2] ; [3,4]", "--graph", "1->2, 3->4"]
 
 
 def star(n):
@@ -244,6 +246,10 @@ def test_cache_dir_is_ignored(capsys, tmp_path):
     (["normalize", "--kind", "siop", "--input",
       "\n".join(star(9).replace(f"1->{j}", f"{j}->1") for j in (1, 2, 3))],
      2, "validation error"),
+    (["verify", "--n", "0"], 2, "validation error"),
+    (["verify", "--n", "-3"], 2, "validation error"),
+    (FOUR_POINTS + ["--samples", "0"], 2, "validation error"),
+    (FOUR_POINTS + ["--samples", "-4"], 2, "validation error"),
 ])
 def test_cli_contract(capsys, argv, code, prefix):
     got, out, err = run(capsys, argv)
@@ -410,3 +416,87 @@ def test_readme_cli_examples_run(capsys, line):
     assert (code, err) == (0, "")
     if argv[0] == "pair":
         assert out == line.rsplit("#", 1)[1].strip() + "\n"
+
+
+class Reached(Exception):
+    """Raised by a stub standing in for the work a guard admitted."""
+
+
+@pytest.mark.parametrize("argv, verdict", [
+    (FOUR_POINTS + ["--samples", "100000000"],
+     "100000000 samples at 3 eps need 1200000000 labels"),
+    (["duality", "--otree", SIX_LEAVES, "--trials", "1000000000"],
+     "1000000000 trials need 6000000000 labels"),
+    (FOUR_POINTS + ["--samples", "20000"], None),  # 240,000 labels
+    (["duality", "--otree", SIX_LEAVES, "--trials", "2000"], None),  # 12,000 labels
+], ids=["samples-1e8", "trials-1e9", "samples-20000", "trials-2000"])
+def test_sample_counts_are_checked_before_any_work(capsys, monkeypatch, argv, verdict):
+    """Refused: exit 2 within 1 s, before the sampler is called."""
+    def reached(*args, **kwargs):
+        raise Reached
+    monkeypatch.setattr("confpair.cli.limit_check", reached)
+    monkeypatch.setattr("confpair.cli.sample_duality", reached)
+    if verdict is None:
+        with pytest.raises(Reached):
+            main(argv)
+        return
+    start = time.perf_counter()
+    assert run(capsys, argv) == (
+        2, "", f"validation error: {verdict}, above the budget of {SIZE_BUDGET}\n")
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("outer, inner", [(500, 500), (300, 300), (251, 250)])
+def test_compose_refuses_a_result_nested_too_deep(capsys, outer, inner):
+    """Leaf 1 of the k-level left comb sits under k brackets, and the inner
+    comb adds its own depth; the sum above MAX_NESTING is refused."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["compose", "--outer", left_comb(outer), "--index", "1",
+                                  "--inner", left_comb(inner)])
+    assert (code, out) == (2, "")
+    assert err == (f"validation error: the composite nests up to {outer + inner} levels, "
+                   f"deeper than 500\n")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_compose_at_the_nesting_bound_runs_and_parses_back(capsys):
+    code, out, err = run(capsys, ["compose", "--outer", left_comb(250), "--index", "1",
+                                  "--inner", left_comb(250)])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 1
+    coeff, forest_text = lines[0].split(" * ")
+    assert abs(int(coeff)) == 1
+    assert parse_forest(forest_text).n == 501
+
+
+def test_size_counts_past_fifteen_digits_print_as_a_power_of_ten():
+    assert _compact(0) == "0" and _compact(-4) == "-4"
+    assert _compact(10 ** 15 - 1) == "999999999999999"
+    for k in list(range(15, 2100)) + [5738, 100_000]:  # log10 rounds 10^512 below 512
+        assert _compact(10 ** k) == _compact(10 ** k + 1) == f"more than 10^{k}"
+        assert _compact(10 ** (k + 1) - 1) == f"more than 10^{k}"
+    assert _compact(factorial(2000) * 2000) == "more than 10^5738"
+
+
+@pytest.mark.parametrize("argv", [
+    ["compose", "--outer", "[1,2]", "--index", "1", "--inner", right_comb(500)],
+    ["compose", "--outer", left_comb(499), "--index", "1", "--inner", "1 ; 2 ; 3"],
+    ["normalize", "--kind", "pois", "--input", right_comb(500)],
+    ["duality", "--otree", "(" + ",".join(["*"] * 2000) + ")"],  # 5,739 digits
+], ids=["compose-inner", "compose-outer", "normalize", "duality"])
+def test_huge_sizes_are_refused_on_one_short_line(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and len(err) < 121
+    assert "more than 10^" in err
+
+
+@pytest.mark.parametrize("argv, n", [
+    (["normalize", "--kind", "pois", "--d", "3", "--input", "1 * [2,1]\n1 * [1,2]"], 2),
+    (["normalize", "--kind", "pois", "--input", "0 * [1,2]"], 2),
+    (["normalize", "--kind", "siop", "--input", "1 * n=3; 1->2, 2->1"], 3),
+])
+def test_normalize_json_reports_the_input_n_for_a_zero_result(capsys, argv, n):
+    assert run(capsys, argv + ["--format", "json"]) == (0, f'{{"n": {n}, "terms": []}}\n', "")
+    assert run(capsys, argv) == (0, "", "")

@@ -221,3 +221,9 @@ def test_limit_check_report_shape():
     assert rep["forest"] == "[1,2] ; 3"
     assert rep["d"] == 2
     assert rep["results"][0]["per_edge"][0]["edge"] == [1, 3]
+
+
+@pytest.mark.parametrize("samples", [0, -4])
+def test_limit_check_refuses_a_sample_count_below_one(samples):
+    with pytest.raises(ValidationError, match=f"samples must be >= 1, got {samples}"):
+        limit_check(parse_forest("[1,2]"), parse_edges("1->2", 2), 3, [0.1], samples=samples)

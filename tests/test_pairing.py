@@ -125,6 +125,12 @@ def test_verify_perfect_passes():
     assert [r.size for r in rep.degrees] == [1, 10, 35, 50, 24]
 
 
+@pytest.mark.parametrize("n", [0, -3, 8])
+def test_verify_perfect_refuses_n_outside_one_to_seven(n):
+    with pytest.raises(ValidationError):
+        verify_perfect(n, 2)
+
+
 def test_verify_perfect_negative_control():
     # corrupt the sign convention: flip the value whenever the graph has
     # 2 edges; the report must name offending pairs

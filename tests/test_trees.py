@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from confpair.errors import ParseError, ValidationError
 from confpair.graphs import enumerate_long_graphs, graph_of_ordered_partition
+from confpair.otrees import OTree
 from confpair.trees import (Forest, OrderedPartition, Tree, enumerate_tall_forests,
                             forest, forest_of_ordered_partition, inversion_parity, nadir,
                             ordered_partition_of_forest, ordered_partitions,
@@ -14,7 +15,7 @@ from confpair.trees import (Forest, OrderedPartition, Tree, enumerate_tall_fores
                             vertices_before_leaf, forest_to_json)
 
 from conftest import (all_forests, basis_count_oracle, is_tall_oracle,
-                      ordered_partitions_oracle)
+                      ordered_partitions_oracle, reduced_otree_nodes)
 
 
 def test_parse_smallest_tree():
@@ -241,6 +242,22 @@ def _in_order_vertex_paths(node, path=()):
     lambda n: tree_nodes(tuple(range(1, n + 1)))))
 def test_vertex_paths_are_the_in_order_walk(node):
     assert Tree(node).vertex_paths == tuple(_in_order_vertex_paths(node))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=8).flatmap(lambda n: tree_nodes(tuple(range(1, n + 1)))),
+       st.integers(min_value=2, max_value=5).flatmap(
+           lambda m: st.sampled_from(reduced_otree_nodes(m))))
+def test_trees_and_otrees_are_complete_when_built(node, onode):
+    """The constructors store every value their walk reads off, so reading
+    the derived values writes nothing to the instance."""
+    for obj, names in [(Tree(node), ("leaf_seq", "labels", "min_label", "size", "is_tall")),
+                       (OTree(onode), ("internal_vertices", "leaf_paths", "n_leaves",
+                                       "leaf_numbering"))]:
+        built = dict(vars(obj))
+        for name in names:
+            getattr(obj, name)
+        assert vars(obj) == built
 
 
 @settings(max_examples=60, deadline=None)
