@@ -188,6 +188,8 @@ def cmd_gram(args):
 
 def cmd_ranks(args):
     check_degree(args.n, 0)
+    # n ranks of one digit or more: refuse n above the budget before lgamma floats it
+    _refuse_above_budget(args.n, f"{_compact(args.n)} ranks need at least as many digits")
     digits = args.n * math.lgamma(args.n + 1) / math.log(10)  # n ranks, each below n!
     _refuse_above_budget(digits, f"n={args.n} needs up to {digits:.0f} digits")
     table = rank_table(args.n, args.d)

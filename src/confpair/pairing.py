@@ -15,12 +15,16 @@ sign-permutation torus map realized by the planetary systems.
 
 Gram matrices over the long-graph x tall-forest bases, the Poincare
 polynomial rank table, and the perfect-pairing verifier live here too.
+Gram entries come from one batch kernel, pair_matrix; pair_basis, one
+entry per call, stays as its oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ValidationError
 from .graphs import Graph, enumerate_long_graphs, render_graph
@@ -60,6 +64,89 @@ def pair_basis(g: Graph, f: Forest, d: int) -> PairingResult:
     positions = [f.vertex_index[v] for v in verts]
     value = sigma if d % 2 else (-1 if inversion_parity(positions) else 1)
     return PairingResult(value, tuple(zip(g.edges, verts)))
+
+
+def _vertex_depths(node, depth, out):
+    """Depths of the internal vertices of a tree node, in in-order."""
+    if not isinstance(node, int):
+        _vertex_depths(node[0], depth + 1, out)
+        out.append(depth)
+        _vertex_depths(node[1], depth + 1, out)
+
+
+def _forest_tables(f: Forest):
+    """Two flat (n+1)^2 tables of f, read at i*(n+1)+j for leaves i and j.
+
+    nadir: the global in-order index of the nadir of i and j, or -1 when
+    they lie in different trees.  In-order alternates leaf and vertex, so
+    the vertices between the leaves at planar positions a < b are those
+    at a..b-1 of the tree, and the nadir is the shallowest of them.
+    side: 1 when leaf i lies right of leaf j.
+    """
+    width = f.n + 1
+    nadir, side = [-1] * width ** 2, [0] * width ** 2
+    offset = 0
+    for t in f.trees:
+        seq, depths = t.leaf_seq, []
+        _vertex_depths(t.node, 0, depths)
+        for a, i in enumerate(seq):
+            best = len(seq)  # deeper than any vertex
+            for b in range(a + 1, len(seq)):
+                if depths[b - 1] < best:
+                    best, v = depths[b - 1], offset + b - 1
+                j = seq[b]
+                nadir[i * width + j] = nadir[j * width + i] = v
+                side[j * width + i] = 1
+        offset += len(depths)
+    return nadir, side
+
+
+_CHUNK = 128  # forests per gather, so no temporary grows with the block
+
+
+def pair_matrix(graphs, forests, d: int) -> tuple:
+    """The pairing of every graph against every forest, as rows of ints:
+    entry (r, c) is pair_basis(graphs[r], forests[c], d).value.
+
+    Each forest is read into its nadir and side tables once; each chunk of
+    forests then gathers the entries of every graph's edges in one step.
+    An entry is nonzero when its forest has as many vertices as the graph
+    has edges and the edges' nadirs are distinct (no -1, no repeat once
+    sorted).  Its sign is the parity of the side bits for odd d and the
+    inversion parity of the nadirs in edge order for even d.
+    """
+    sizes = {g.n for g in graphs} | {f.n for f in forests}
+    if len(sizes) > 1:
+        raise ValidationError(f"mismatched n across pairing arguments: {sorted(sizes)}")
+    out = np.zeros((len(graphs), len(forests)), dtype=np.int8)
+    if graphs and forests:
+        width = sizes.pop() + 1
+        nadir_rows, side_rows = zip(*map(_forest_tables, forests))
+        nadirs = np.array(nadir_rows, dtype=np.min_scalar_type(-width))
+        sides = np.array(side_rows, dtype=np.int8)
+        f_sizes = np.array([f.size for f in forests])
+        by_k = {}
+        for r, g in enumerate(graphs):
+            by_k.setdefault(len(g.edges), []).append(r)
+        for k, rows in by_k.items():
+            edges = np.array([[i * width + j for i, j in graphs[r].edges] for r in rows],
+                             dtype=np.intp)
+            cols = np.flatnonzero(f_sizes == k)
+            for lo in range(0, len(cols), _CHUNK):
+                chunk = cols[lo:lo + _CHUNK]
+                verts = nadirs[chunk][:, edges]  # (forests, graphs, k)
+                ordered = np.sort(verts, axis=2)
+                bijective = ((ordered[:, :, :1] >= 0).all(axis=2)
+                             & (ordered[:, :, 1:] != ordered[:, :, :-1]).all(axis=2))
+                if d % 2:
+                    odd = sides[chunk][:, edges].sum(axis=2) % 2 == 1
+                else:
+                    odd = np.zeros(bijective.shape, dtype=bool)
+                    for a in range(k):
+                        for b in range(a + 1, k):
+                            odd ^= verts[:, :, a] > verts[:, :, b]
+                out[np.ix_(rows, chunk)] = (bijective * (1 - 2 * odd.astype(np.int8))).T
+    return tuple(tuple(row.tolist()) for row in out)
 
 
 def pair(g, f, d: int) -> int:
@@ -102,9 +189,15 @@ class GramMatrix:
 
 
 def _delta_failures(rows):
-    """(row, col, value) for every entry of rows that differs from the identity."""
-    return [(r, c, v) for r, row in enumerate(rows) for c, v in enumerate(row)
-            if v != (1 if r == c else 0)]
+    """(row, col, value) for every entry of rows that differs from the identity.
+
+    A row equal to its unit tuple, one comparison in C, has none."""
+    failures = []
+    for r, row in enumerate(rows):
+        zeros = (0,) * len(row)
+        if row != zeros[:r] + (1,) + zeros[r + 1:]:
+            failures.extend((r, c, v) for c, v in enumerate(row) if v != (1 if r == c else 0))
+    return failures
 
 
 def parity_name(d: int) -> str:
@@ -117,14 +210,20 @@ def gram_matrix(n: int, k: int, d: int) -> GramMatrix:
     Rows and columns are both in canonical (ordered partition) order, so the
     Kronecker property of the pairing makes this the identity.
     """
-    return _gram(n, k, d, pair_basis)
+    return _gram(n, k, d, None)
+
+
+def _entries(graphs, forests, d, pf):
+    """Rows of pairings: one pf call per entry, or pair_matrix when pf is None."""
+    if pf is None:
+        return pair_matrix(graphs, forests, d)
+    return tuple(tuple(pf(g, f, d).value for f in forests) for g in graphs)
 
 
 def _gram(n, k, d, pf):
     graphs = enumerate_long_graphs(n, k)
     forests = enumerate_tall_forests(n, k)
-    entries = tuple(tuple(pf(g, f, d).value for f in forests) for g in graphs)
-    return GramMatrix(n, k, parity_name(d), entries, graphs, forests)
+    return GramMatrix(n, k, parity_name(d), _entries(graphs, forests, d, pf), graphs, forests)
 
 
 # ---------------------------------------------------------------------------
@@ -223,22 +322,22 @@ def first_degree_bases(n):
 def verify_perfect(n: int, d: int, pair_fn=None) -> PerfectReport:
     """Check the Gram identity in every degree plus the first-degree structure.
 
-    pair_fn exists so tests can inject a corrupted sign convention as a
-    negative control; the default is the real pairing.
+    The default reads every block off pair_matrix.  A pair_fn is called
+    once per entry instead: pair_basis is the kernel's oracle, and a
+    corrupted sign convention is a negative control.
     """
     check_degree(n, 0)
     if n > 7:
         raise ValidationError("verify_perfect is desk-scale: n <= 7")
-    pf = pair_fn or pair_basis
     degrees = []
     ok = True
     for k in range(n):
-        gm = _gram(n, k, d, pf)
+        gm = _gram(n, k, d, pair_fn)
         failures = gm.failures()
         degrees.append(DegreeReport(k, gm.size, not failures, failures))
         ok = ok and not failures
     fg, ff = first_degree_bases(n)
-    fd_failures = _delta_failures((pf(g, f, d).value for f in ff) for g in fg)
+    fd_failures = _delta_failures(_entries(fg, ff, d, pair_fn))
     ok = ok and not fd_failures
     return PerfectReport(
         n, parity_name(d), degrees,

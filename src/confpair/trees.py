@@ -32,11 +32,14 @@ def _node_size(node):
 
 
 def _walk_leaves(node, out):
+    """Append the leaves of node to out, left to right; the one check of its shape."""
     if isinstance(node, int):
         out.append(node)
-    else:
+    elif isinstance(node, tuple) and len(node) == 2:
         _walk_leaves(node[0], out)
         _walk_leaves(node[1], out)
+    else:
+        raise ValidationError(f"malformed tree node {node!r}")
 
 
 def _common_prefix(p, q):
@@ -70,7 +73,7 @@ class Tree:
         if len(labels) != len(seq):
             raise ValidationError(f"duplicate leaf labels in tree: {seq}")
         for lab in seq:
-            if not isinstance(lab, int) or lab < 1:
+            if lab < 1:
                 raise ValidationError(f"leaf labels must be positive ints, got {lab!r}")
         object.__setattr__(self, "leaf_seq", seq)
         object.__setattr__(self, "labels", labels)

@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from math import factorial
 from pathlib import Path
@@ -10,7 +13,7 @@ from confpair.cli import SIZE_BUDGET, _compact, main
 from confpair.graphs import parse_graph
 from confpair.lincombo import LinCombo
 from confpair.normalize import _long_support_size, _support_size
-from confpair.pairing import poincare_coefficients
+from confpair.pairing import pair_basis, poincare_coefficients, verify_perfect
 from confpair.trees import parse_forest
 
 
@@ -500,3 +503,29 @@ def test_huge_sizes_are_refused_on_one_short_line(capsys, argv):
 def test_normalize_json_reports_the_input_n_for_a_zero_result(capsys, argv, n):
     assert run(capsys, argv + ["--format", "json"]) == (0, f'{{"n": {n}, "terms": []}}\n', "")
     assert run(capsys, argv) == (0, "", "")
+
+
+@pytest.mark.parametrize("digits", [300, 400])
+def test_ranks_refuses_a_huge_n_on_one_short_line(capsys, digits):
+    """Any n above the budget is refused by integer comparison, before
+    lgamma would convert it to float."""
+    n = 10 ** (digits - 1) + 7
+    assert run(capsys, ["ranks", "--n", str(n)]) == (
+        2, "", f"validation error: more than 10^{digits - 1} ranks need at least as many "
+               f"digits, above the budget of {SIZE_BUDGET}\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_verify_prints_the_same_report_as_the_per_entry_oracle(capsys, monkeypatch, d, fmt):
+    """`python -m confpair verify` reads its Gram blocks off the batch
+    kernel; the report built with one pair_basis call per entry prints
+    byte for byte the same, with the same exit code."""
+    argv = ["verify", "--n", "5", "--d", str(d), "--format", fmt]
+    src = Path(__file__).resolve().parents[1] / "src"
+    kernel = subprocess.run([sys.executable, "-m", "confpair"] + argv, capture_output=True,
+                            text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    monkeypatch.setattr("confpair.cli.verify_perfect",
+                        lambda n, d: verify_perfect(n, d, pair_fn=pair_basis))
+    assert run(capsys, argv) == (kernel.returncode, kernel.stdout, kernel.stderr) == (
+        0, kernel.stdout, "")

@@ -1,12 +1,13 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confpair.errors import ValidationError
 from confpair.graphs import Graph, enumerate_long_graphs, parse_graph
 from confpair.lincombo import LinCombo
 from confpair.pairing import (GramMatrix, PairingResult, first_degree_bases, gram_matrix,
-                              pair, pair_basis, poincare_coefficients, rank_table,
-                              verify_perfect)
-from confpair.trees import enumerate_tall_forests, parse_forest
+                              pair, pair_basis, pair_matrix, poincare_coefficients,
+                              rank_table, verify_perfect)
+from confpair.trees import PlanarForest, Tree, enumerate_tall_forests, parse_forest
 
 from conftest import basis_count_oracle
 
@@ -154,13 +155,18 @@ def test_verify_perfect_pair_fn_path_matches_the_gram_path(n, d):
 
 def test_verify_perfect_reads_each_degree_off_one_gram_matrix(monkeypatch):
     """Both paths take each degree's verdict from GramMatrix.failures, and the
-    default path looks pair_basis up when it is called."""
+    default path looks pair_matrix up when it is called."""
+    def flip_two_edge_rows(graphs, forests, d):
+        return tuple(tuple(-v for v in row) if len(g.edges) == 2 else row
+                     for g, row in zip(graphs, pair_matrix(graphs, forests, d)))
+
     def flip_two_edges(g, f, d):
         res = pair_basis(g, f, d)
         return PairingResult(-res.value, res.beta_witness) if len(g.edges) == 2 else res
 
-    monkeypatch.setattr("confpair.pairing.pair_basis", flip_two_edges)
+    monkeypatch.setattr("confpair.pairing.pair_matrix", flip_two_edge_rows)
     assert not verify_perfect(3, 2).ok
+    assert verify_perfect(3, 2, pair_fn=pair_basis).ok
     monkeypatch.setattr(GramMatrix, "failures", lambda self: [])
     assert verify_perfect(3, 2).ok
     assert verify_perfect(3, 2, pair_fn=flip_two_edges).ok
@@ -180,3 +186,105 @@ def test_verify_perfect_names_first_degree_failures():
 def test_first_degree_bases_count():
     graphs, forests = first_degree_bases(5)
     assert len(graphs) == len(forests) == 10
+
+
+# ---------------------------------------------------------------------------
+# the batch kernel against the per-entry oracle
+
+def per_entry(graphs, forests, d):
+    return tuple(tuple(pair_basis(g, f, d).value for f in forests) for g in graphs)
+
+
+@st.composite
+def tree_nodes(draw, labels):
+    if len(labels) == 1:
+        return labels[0]
+    cut = draw(st.integers(1, len(labels) - 1))
+    return (draw(tree_nodes(labels[:cut])), draw(tree_nodes(labels[cut:])))
+
+
+@st.composite
+def planar_forests(draw, n):
+    """Any planar forest on 1..n: trees of any shape, in any order."""
+    labels = draw(st.permutations(range(1, n + 1)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    bounds = [0] + cuts + [n]
+    trees = tuple(Tree(draw(tree_nodes(labels[a:b]))) for a, b in zip(bounds, bounds[1:]))
+    return PlanarForest(trees, n)
+
+
+def leaves(node):
+    return [node] if isinstance(node, int) else leaves(node[0]) + leaves(node[1])
+
+
+@st.composite
+def matched_graphs(draw, f):
+    """A graph with one edge per vertex of f, between a leaf on each side of
+    it, in any order and orientation: its pairing with f is nonzero."""
+    edges = []
+
+    def walk(node):
+        if not isinstance(node, int):
+            i, j = draw(st.sampled_from(leaves(node[0]))), draw(st.sampled_from(leaves(node[1])))
+            edges.append((i, j) if draw(st.booleans()) else (j, i))
+            walk(node[0])
+            walk(node[1])
+    for t in f.trees:
+        walk(t.node)
+    return Graph(f.n, tuple(draw(st.permutations(edges))))
+
+
+@st.composite
+def batches(draw):
+    n = draw(st.integers(1, 7))
+    forests = draw(st.lists(planar_forests(n), min_size=1, max_size=4))
+    matched = [draw(matched_graphs(f)) for f in forests]
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    graphs = list(matched)
+    if pairs:
+        graphs += [Graph(n, tuple(edges)) for edges in
+                   draw(st.lists(st.lists(st.sampled_from(pairs), max_size=n), max_size=6))]
+        graphs += [Graph(n, ((1, 2), (1, 2))), Graph(n, ((1, 2), (2, 1)))]
+    if n >= 3:
+        graphs.append(Graph(n, ((1, 2), (2, 3), (3, 1))))
+    for f, g in zip(forests, matched):  # a cross-tree edge in place of the first
+        if len(f.trees) > 1 and g.edges:
+            cross = (f.trees[0].leaf_seq[0], f.trees[1].leaf_seq[0])
+            graphs.append(Graph(n, (cross,) + g.edges[1:]))
+    return draw(st.permutations(graphs)), forests, matched
+
+
+@settings(max_examples=300, deadline=None)
+@given(batches(), st.integers(2, 5))
+def test_pair_matrix_equals_pair_basis_on_random_batches(batch, d):
+    graphs, forests, matched = batch
+    rows = pair_matrix(graphs, forests, d)
+    assert rows == per_entry(graphs, forests, d)
+    for f, g in zip(forests, matched):
+        assert rows[graphs.index(g)][forests.index(f)] in (-1, 1)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pair_matrix_equals_pair_basis_on_every_gram_block(n):
+    for k in range(n):
+        for d in (2, 3):
+            gm = gram_matrix(n, k, d)
+            assert gm.entries == per_entry(gm.graphs, gm.forests, d)
+
+
+def test_pair_matrix_equals_pair_basis_on_the_n7_blocks_up_to_degree_3():
+    for k in range(4):
+        gm = gram_matrix(7, k, 2)
+        assert gm.entries == per_entry(gm.graphs, gm.forests, 2)
+
+
+def test_pair_matrix_edge_cases():
+    forests = [parse_forest("[1] ; [2] ; [3]"), parse_forest("[1,2] ; [3]")]
+    empty, edge = Graph(3, ()), Graph(3, ((2, 1),))
+    for d in (2, 3):
+        assert pair_matrix([empty, edge], forests, d) == ((1, 0), (0, -1 if d % 2 else 1))
+        assert pair_matrix([], forests, d) == ()
+        assert pair_matrix([empty, edge], [], d) == ((), ())
+        assert pair_matrix([], [], d) == ()
+    with pytest.raises(ValidationError):
+        pair_matrix([Graph(2, ())], forests, 2)

@@ -45,6 +45,18 @@ def test_duplicate_label_rejected():
         parse_tree("[1,[2,1]]")
 
 
+@pytest.mark.parametrize("node", ["ab", 1.5, None, (1,), ((1, 2), "x"), [1, 2]], ids=repr)
+def test_malformed_tree_nodes_are_refused(node):
+    with pytest.raises(ValidationError, match="malformed tree node"):
+        Tree(node)
+
+
+@pytest.mark.parametrize("node", [0, (1, -2)])
+def test_leaf_labels_below_one_are_refused(node):
+    with pytest.raises(ValidationError, match="leaf labels must be positive ints"):
+        Tree(node)
+
+
 def test_forest_must_partition():
     with pytest.raises(ValidationError):
         parse_forest("[1,2] ; [4,5]", n=5)
