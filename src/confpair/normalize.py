@@ -2,11 +2,13 @@
 
 Tree side: by the Gram identity <G_P, F_Q> = delta_PQ, the coefficient of
 the tall forest F_P in a forest combination x is the pairing <G_P, x> with
-the dual long graph.  For a single forest that pairing is nonzero only when
-each block of P runs through the leaves of one tree, starting at its
-minimum, with pairwise distinct nadirs between consecutive leaves, so
-normalize_pois lists exactly those P (_tall_chains) and reads each
-coefficient off pair_basis; its cost follows the size of the output.
+the dual long graph.  For a tree t it is nonzero only when P runs through
+t's leaves from its minimum with distinct nadirs between consecutive leaves
+(_tall_chains).  Such a P crosses each vertex once; entering the right side
+first makes sigma = -1 on the crossing edge and adds a*b + a + b inversions
+(a, b: the vertex counts of the two sides), so <G_P, t> is the product of
+anti_sign(a, b, d) over those vertices.  A forest is the product of its
+trees, sorted at the cost eps(parity, d); the cost follows the output size.
 
 Graph side, by the same identity: the coefficient of G_P in a graph g is
 <g, F_P>.  A cycle or a repeated vertex pair makes g zero.  Otherwise orient
@@ -31,8 +33,8 @@ import math
 from .errors import ValidationError
 from .graphs import Graph, graph_of_ordered_partition
 from .lincombo import LinCombo
-from .pairing import pair_basis
-from .trees import Forest, OrderedPartition, Tree, forest_of_ordered_partition, inversion_parity
+from .trees import (Forest, OrderedPartition, Tree, inversion_parity, sort_trees_with_parity,
+                    tree_from_leaf_order)
 
 
 def eps(exponent: int, d: int) -> int:
@@ -58,8 +60,10 @@ def reversal_sign(flips: int, perm_parity: int, d: int) -> int:
     return -1 if (flips * d + perm_parity * (d - 1)) % 2 else 1
 
 
-def _tall_chains(t: Tree):
-    """The leaf orders P of t, led by its minimum, with <G_P, t> != 0.
+def _tall_chains(t: Tree, d: int):
+    """(P, <G_P, t>) for the leaf orders P of t, led by its minimum, with
+    <G_P, t> != 0; the sign is the product of anti_sign over the vertices
+    whose right side P enters first, forced or chosen.
 
     That pairing is nonzero exactly when consecutive leaves of P have
     pairwise distinct nadirs.  An edge lands inside a subtree exactly when
@@ -72,16 +76,20 @@ def _tall_chains(t: Tree):
     """
 
     def orders(node, lead):
-        # lead: the path from node down to the leaf that must come first
+        # lead: the path down to the leaf that must come first; -> (vertex count, chains)
         if isinstance(node, int):
-            return [(node,)]
-        if lead is None:
-            left, right = orders(node[0], None), orders(node[1], None)
-            return [a + b for a in left for b in right] + [b + a for a in left for b in right]
-        first, rest = orders(node[lead[0]], lead[1:]), orders(node[1 - lead[0]], None)
-        return [a + b for a in first for b in rest]
+            return 0, [((node,), 1)]
+        side, below = (lead[0], lead[1:]) if lead else (0, None)
+        a, first = orders(node[side], below)
+        b, rest = orders(node[1 - side], None)
+        swap = anti_sign(a, b, d)
+        ahead = swap if side else 1  # the minimum lies right: P enters there first
+        out = [(x + y, u * v * ahead) for x, u in first for y, v in rest]
+        if not lead:  # either side may come first
+            out += [(y + x, u * v * swap) for x, u in first for y, v in rest]
+        return a + b + 1, out
 
-    return orders(t.node, t.leaf_paths[t.min_label])
+    return orders(t.node, t.leaf_paths[t.min_label])[1]
 
 
 def _support_size(f: Forest) -> int:
@@ -97,8 +105,8 @@ def _support_size(f: Forest) -> int:
 def normalize_pois(x, d: int) -> LinCombo:
     """Express a forest combination in the tall basis; idempotent and linear.
 
-    Each non-tall forest f contributes c * <G_P, f> * F_P for every P in
-    the product of its trees' chains (see _tall_chains).
+    Each forest f but a canonical tall one contributes c * <G_P, f> * F_P
+    for every P in the product of its trees' chains (see _tall_chains).
     """
     combo = LinCombo.of(x)
     sizes = {f.n for f, _ in combo}
@@ -106,15 +114,14 @@ def normalize_pois(x, d: int) -> LinCombo:
         raise ValidationError(f"mixed n across terms: {sorted(sizes)}")
     terms = []
     for f, c in combo:
-        if f.is_tall:
+        if type(f) is Forest and f.is_tall:  # a subclass may list its trees out of order
             terms.append((f, c))
             continue
-        # a PlanarForest may list its trees out of order; pair_basis keeps its sign
-        trees = sorted(f.trees, key=lambda t: t.min_label)
-        for blocks in itertools.product(*map(_tall_chains, trees)):
-            p = OrderedPartition(blocks)
-            value = pair_basis(graph_of_ordered_partition(p, f.n), f, d).value
-            terms.append((forest_of_ordered_partition(p, f.n), c * value))
+        trees, parity = sort_trees_with_parity(f.trees)
+        c *= eps(parity, d)
+        for chains in itertools.product(*(_tall_chains(t, d) for t in trees)):
+            blocks = tuple(tree_from_leaf_order(order) for order, _ in chains)
+            terms.append((Forest(blocks, f.n), c * math.prod(sign for _, sign in chains)))
     return LinCombo(terms)
 
 

@@ -206,17 +206,6 @@ class Forest:
         return f"Forest({render_forest(self)})"
 
 
-class PlanarForest(Forest):
-    """Forest with an arbitrary planar tree order (commutativity not applied).
-
-    Only the canonical-order invariant is relaxed; used to state the
-    commutativity relation, whose two sides differ exactly by tree order.
-    """
-
-    def __post_init__(self):
-        self._check_partition()
-
-
 def forest(trees, n=None):
     """Build a canonical Forest from trees in any order (no sign tracking)."""
     trees = tuple(trees)

@@ -1,7 +1,7 @@
 """Reference implementations the tests check the package against.
 
-Tree rewriting.  normalize_pois reads each tall coefficient off the dual
-basis pairing; the reference here reaches the same combination by term
+Tree rewriting.  normalize_pois reads each tall coefficient as a sign in
+closed form; the reference here reaches the same combination by term
 rewriting instead: anti-symmetry orients every vertex so the smaller
 minimal label sits on the left, and the (graded) Jacobi identity pushes
 the minimal leaf deeper-left until every tree is a tall comb
@@ -12,8 +12,8 @@ normalize.anti_sign, and the cyclic Jacobi relation reads
 
 For odd d these reduce to the classical unsigned identities.
 
-Graph rewriting.  normalize_graph reads each long coefficient off the dual
-basis pairing as well; the reference here rewrites instead (rewrite_graph):
+Graph rewriting.  normalize_graph reads each long coefficient as a sign as
+well; the reference here rewrites instead (rewrite_graph):
 repeated vertex pairs and cycles die; arrow reversal costs (-1)^d per arrow
 and a transposition of edges costs (-1)^(d-1); the Arnold identity
 a_jk a_kl + a_kl a_lj + a_lj a_jk = 0 eliminates branch vertices.  Each
@@ -37,8 +37,18 @@ from confpair.errors import ValidationError
 from confpair.graphs import Graph
 from confpair.lincombo import LinCombo
 from confpair.normalize import _orient_away, anti_sign, eps, reversal_sign
-from confpair.trees import (Forest, PlanarForest, Tree, _node_size, inversion_parity,
-                            sort_trees_with_parity)
+from confpair.trees import Forest, Tree, _node_size, inversion_parity, sort_trees_with_parity
+
+
+class PlanarForest(Forest):
+    """Forest with an arbitrary planar tree order (commutativity not applied).
+
+    Only the canonical-order invariant is relaxed; used to state the
+    commutativity relation, whose two sides differ exactly by tree order.
+    """
+
+    def __post_init__(self):
+        self._check_partition()
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confpair.errors import ValidationError
-from confpair.graphs import (Graph, enumerate_long_graphs, ordered_partition_of_graph,
-                             parse_graph, render_graph)
+from confpair.graphs import (Graph, enumerate_long_graphs, graph_of_ordered_partition,
+                             ordered_partition_of_graph, parse_graph, render_graph)
 from confpair.lincombo import LinCombo
 from confpair.normalize import (_long_support_size, _support_size, _tall_chains, anti_sign,
                                 eps, normalize_graph, normalize_pois, normalize_siop)
 from confpair.pairing import pair, pair_basis
-from confpair.trees import (Forest, PlanarForest, Tree, enumerate_tall_forests,
+from confpair.trees import (Forest, OrderedPartition, Tree, enumerate_tall_forests,
                             forest_of_ordered_partition, parse_forest, render_forest)
 
-from conftest import all_forests, random_forest, random_graph_edges, set_partitions
-from oracles import normalize_forest, rewrite_graph
+from conftest import (all_forests, all_tree_nodes, random_forest, random_graph_edges,
+                      random_tree_node, set_partitions)
+from oracles import PlanarForest, normalize_forest, rewrite_graph
 
 
 def as_dict(combo, render):
@@ -231,11 +232,15 @@ def test_right_comb_matches_rewriting(n, d):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_planar_forest_matches_rewriting(d):
-    # trees out of min-label order: the commutativity sign comes from the pairing
-    f = PlanarForest((Tree((4, 3)), Tree((2, 1))), 4)
-    out = normalize_pois(f, d)
-    assert out == normalize_forest(f, d)
-    assert out == eps(1, d) * normalize_pois(parse_forest("[2,1] ; [4,3]"), d)
+    # trees out of min-label order, tall or not: the commutativity sign is eps(parity, d)
+    for nodes in [((4, 3), (2, 1)), ((3, 4), (1, 2)), (3, (1, 2))]:
+        trees = tuple(map(Tree, nodes))
+        n = sum(len(t.leaf_seq) for t in trees)
+        f = PlanarForest(trees, n)
+        out = normalize_pois(f, d)
+        assert out == normalize_forest(f, d), nodes
+        parity = trees[0].size * trees[1].size
+        assert out == eps(parity, d) * normalize_pois(Forest(trees[::-1], n), d), nodes
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -252,11 +257,47 @@ def test_support_size_counts_the_listed_chains():
     forests = [f for n in range(1, 6) for f in all_forests(n)]
     forests += [random_forest(rng, rng.randint(6, 10)) for _ in range(300)]
     for f in forests:
-        listed = 1
-        if not f.is_tall:
-            for t in f.trees:
-                listed *= len(_tall_chains(t))
-        assert _support_size(f) == listed, f
+        for d in (2, 3):
+            listed = 1
+            if not f.is_tall:
+                for t in f.trees:
+                    listed *= len(_tall_chains(t, d))
+            assert _support_size(f) == listed, (f, d)
+
+
+def dual_pairing(blocks, f, d):
+    """<G_P, f> for the ordered partition P with these blocks, by the pairing oracle."""
+    return pair_basis(graph_of_ordered_partition(OrderedPartition(blocks), f.n), f, d).value
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_tall_chain_signs_match_the_pairing_on_every_small_tree(d):
+    chains = 0
+    for n in range(1, 6):
+        for node in all_tree_nodes(range(1, n + 1)):
+            t = Tree(node)
+            f = Forest((t,), n)
+            for order, sign in _tall_chains(t, d):
+                assert sign == dual_pairing((order,), f, d), (node, order)
+                chains += 1
+    assert chains == 5635
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_normalize_pois_coefficients_match_the_pairing_on_planar_forests(d):
+    # trees of any shape in any order, so the sort sign eps(parity, d) is exercised
+    rng = random.Random(40 + d)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        labels = rng.sample(range(1, n + 1), n)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, min(3, n - 1))))
+        bounds = [0, *cuts, n]
+        f = PlanarForest(tuple(Tree(random_tree_node(rng, labels[a:b]))
+                               for a, b in zip(bounds, bounds[1:])), n)
+        out = normalize_pois(f, d)
+        assert len(out) == _support_size(f)
+        for key, c in out:
+            assert c == dual_pairing(tuple(t.leaf_seq for t in key.trees), f, d), (f, key)
 
 
 # ---------------------------------------------------------------------------

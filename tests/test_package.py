@@ -22,3 +22,10 @@ def test_the_package_never_imports_the_test_oracles():
         for name in imported_modules(path):
             parts = name.split(".")
             assert "tests" not in parts and "oracles" not in parts, (path.name, name)
+
+
+def test_normalize_reads_its_coefficients_without_the_pairing():
+    # both sides of normalize.py read each coefficient as a closed-form sign
+    path = next(p for p in SOURCES if p.name == "normalize.py")
+    modules = list(imported_modules(path))
+    assert modules and not any("pairing" in name.split(".") for name in modules), modules

@@ -7,9 +7,10 @@ from confpair.lincombo import LinCombo
 from confpair.pairing import (GramMatrix, PairingResult, first_degree_bases, gram_matrix,
                               pair, pair_basis, pair_matrix, poincare_coefficients,
                               rank_table, verify_perfect)
-from confpair.trees import PlanarForest, Tree, enumerate_tall_forests, parse_forest
+from confpair.trees import Tree, enumerate_tall_forests, parse_forest
 
 from conftest import basis_count_oracle
+from oracles import PlanarForest
 
 
 def test_smallest_pair():
