@@ -25,11 +25,13 @@ first) to the input edge order.  Duality then holds in the form
       =  <G, compose_along(tau; F_0, F_*)>
 
 with the composed side assembled by iterated composition, rightmost site
-first; check_duality verifies this case by case.
+first; check_duality verifies this case by case, splitting each graph once
+and reading both sides through pairing.pair_basis and pairing.pair.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -40,13 +42,13 @@ from .graphs import Graph, enumerate_long_graphs, render_graph
 from .lincombo import LinCombo
 from .normalize import eps, normalize_pois
 from .otrees import LEAF, OTree, leaf_nadir, may_tree, render_otree
-from .pairing import pair_basis
+from .pairing import pair, pair_basis
 from .trees import (Forest, enumerate_tall_forests, inversion_parity, render_forest,
                     vertices_before_leaf)
 
 
 def substitute_basis(f1: Forest, i: int, f2: Forest, d: int) -> LinCombo:
-    """compose_basis before tall normalization: substitute, Leibniz-reduce, sign."""
+    """One compose term before tall normalization: substitute, Leibniz-reduce, sign."""
     n, m = f1.n, f2.n
     if not 1 <= i <= n:
         raise ValidationError(f"composition index {i} out of range 1..{n}")
@@ -57,15 +59,11 @@ def substitute_basis(f1: Forest, i: int, f2: Forest, d: int) -> LinCombo:
     return sign * reduce_expr(combined, d)
 
 
-def compose_basis(f1: Forest, i: int, f2: Forest, d: int) -> LinCombo:
-    return normalize_pois(substitute_basis(f1, i, f2, d), d)
-
-
 def compose(b1, i: int, b2, d: int) -> LinCombo:
     """Bilinear composition; slots accept a Forest or a LinCombo of forests."""
     left, right = LinCombo.of(b1), LinCombo.of(b2)
     return LinCombo([(f, c1 * c2 * c) for f1, c1 in left for f2, c2 in right
-                     for f, c in compose_basis(f1, i, f2, d)])
+                     for f, c in normalize_pois(substitute_basis(f1, i, f2, d), d)])
 
 
 # ---------------------------------------------------------------------------
@@ -190,24 +188,25 @@ def _degree(f0, inner):
 def _check_cases(tau: OTree, d: int, cases) -> DualityReport:
     """Compare the two routes on each (f0, inner, graphs) case group.
 
-    One composition serves every graph of its group; each graph is a case.
+    One composition serves every graph of its group; each graph is a case,
+    split once per call when a case first needs it.
     """
-    # two-level: a non-root vertex's path is (input position,)
-    site_of_vertex = {v: v[0] + 1 for v in tau.internal_vertices if v != ()}
+    split = functools.cache(lambda g: cooperad(g, tau, d))
     checked = 0
     failures = []
     for f0, inner, graphs in cases:
         composed = compose_along(tau, f0, inner, d)
         koszul = eps(f0.size * sum(f.size for f in inner.values()), d)
+        # two-level: cooperad's vertices are the root, then the sites left to right
+        bases = (f0, *inner.values())
         for g in graphs:
-            res = cooperad(g, tau, d)
+            res = split(g)
             lhs = res.sign * koszul
-            for v, factor in zip(res.vertices, res.factors):
+            for factor, fv in zip(res.factors, bases):
                 if lhs == 0:
                     break
-                fv = f0 if v == () else inner[site_of_vertex[v]]
                 lhs *= pair_basis(factor, fv, d).value
-            rhs = sum(c * pair_basis(g, f, d).value for f, c in composed)
+            rhs = pair(g, composed, d)
             checked += 1
             if lhs != rhs:
                 failures.append({"graph": g, "outer": f0, "inner": inner,

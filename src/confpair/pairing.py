@@ -29,8 +29,8 @@ import numpy as np
 from .errors import ValidationError
 from .graphs import Graph, enumerate_long_graphs, render_graph
 from .lincombo import LinCombo
-from .trees import (Forest, Tree, check_degree, enumerate_tall_forests, inversion_parity,
-                    render_forest, single_tree_forest)
+from .trees import (Forest, check_degree, enumerate_tall_forests, inversion_parity,
+                    render_forest)
 
 
 @dataclass(frozen=True)
@@ -213,17 +213,15 @@ def gram_matrix(n: int, k: int, d: int) -> GramMatrix:
     return _gram(n, k, d, None)
 
 
-def _entries(graphs, forests, d, pf):
-    """Rows of pairings: one pf call per entry, or pair_matrix when pf is None."""
-    if pf is None:
-        return pair_matrix(graphs, forests, d)
-    return tuple(tuple(pf(g, f, d).value for f in forests) for g in graphs)
-
-
 def _gram(n, k, d, pf):
+    """The Gram block in degree k: pair_matrix, or one pf call per entry."""
     graphs = enumerate_long_graphs(n, k)
     forests = enumerate_tall_forests(n, k)
-    return GramMatrix(n, k, parity_name(d), _entries(graphs, forests, d, pf), graphs, forests)
+    if pf is None:
+        entries = pair_matrix(graphs, forests, d)
+    else:
+        entries = tuple(tuple(pf(g, f, d).value for f in forests) for g in graphs)
+    return GramMatrix(n, k, parity_name(d), entries, graphs, forests)
 
 
 # ---------------------------------------------------------------------------
@@ -309,39 +307,35 @@ class PerfectReport:
         }
 
 
-def first_degree_bases(n):
-    """The degree-(d-1) dual bases: single edges i->j and single pairs [i,j], i<j."""
-    graphs, forests = [], []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            graphs.append(Graph(n, ((i, j),)))
-            forests.append(single_tree_forest(Tree((i, j)), n))
-    return graphs, forests
-
-
 def verify_perfect(n: int, d: int, pair_fn=None) -> PerfectReport:
-    """Check the Gram identity in every degree plus the first-degree structure.
+    """Check the Gram identity in every degree k < n, one block per degree.
 
-    The default reads every block off pair_matrix.  A pair_fn is called
-    once per entry instead: pair_basis is the kernel's oracle, and a
-    corrupted sign convention is a negative control.
+    The first-degree report is the k=1 block (single edges i->j against
+    single pairs [i,j]), its failures indexed by the lexicographic order
+    of (i, j).  The default reads every block off pair_matrix.  A pair_fn
+    is called once per entry instead: pair_basis is the kernel's oracle,
+    and a corrupted sign convention is a negative control.
     """
     check_degree(n, 0)
     if n > 7:
         raise ValidationError("verify_perfect is desk-scale: n <= 7")
     degrees = []
-    ok = True
+    first = DegreeReport(1, 0, True, [])  # n = 1 has no degree-1 block
     for k in range(n):
         gm = _gram(n, k, d, pair_fn)
         failures = gm.failures()
         degrees.append(DegreeReport(k, gm.size, not failures, failures))
-        ok = ok and not failures
-    fg, ff = first_degree_bases(n)
-    fd_failures = _delta_failures(_entries(fg, ff, d, pair_fn))
-    ok = ok and not fd_failures
+        if k == 1:
+            # row r and column r come from one ordered partition, so the
+            # edge order of the rows re-indexes both
+            lex = sorted(range(gm.size), key=lambda r: gm.graphs[r].edges)
+            rank = {r: p for p, r in enumerate(lex)}
+            first = DegreeReport(1, gm.size, not failures,
+                                 sorted((rank[r], rank[c], v) for r, c, v in failures))
     return PerfectReport(
         n, parity_name(d), degrees,
-        len(fg), not fd_failures, fd_failures, ok,
+        first.size, first.identity, first.failures,
+        all(r.identity for r in degrees),
     )
 
 

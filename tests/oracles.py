@@ -27,6 +27,9 @@ pair to zero against the whole dual spanning set.  Tree-side instances are
 anti-symmetry, (graded) Jacobi, and forest commutativity; graph-side
 instances are arrow reversal / edge reordering, Arnold, and repeated-edge
 words.
+
+The first-degree dual bases, built by hand: single edges i->j against
+single pairs [i,j], i < j, in lexicographic order (first_degree_bases).
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ from confpair.errors import ValidationError
 from confpair.graphs import Graph
 from confpair.lincombo import LinCombo
 from confpair.normalize import _orient_away, anti_sign, eps, reversal_sign
-from confpair.trees import Forest, Tree, _node_size, inversion_parity, sort_trees_with_parity
+from confpair.trees import (Forest, Tree, _node_size, inversion_parity, single_tree_forest,
+                            sort_trees_with_parity)
 
 
 class PlanarForest(Forest):
@@ -304,3 +308,16 @@ def arnold_instance(n, j, k, l, prefix=(), suffix=()):
 def double_edge_graph(n, i, j, prefix=(), middle=(), suffix=()) -> Graph:
     """A word containing the unordered pair {i, j} twice; zero in the quotient."""
     return Graph(n, tuple(prefix) + ((i, j),) + tuple(middle) + ((i, j),) + tuple(suffix))
+
+
+# ---------------------------------------------------------------------------
+# first-degree dual bases
+
+def first_degree_bases(n):
+    """The degree-(d-1) dual bases: single edges i->j and single pairs [i,j], i<j."""
+    graphs, forests = [], []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            graphs.append(Graph(n, ((i, j),)))
+            forests.append(single_tree_forest(Tree((i, j)), n))
+    return graphs, forests

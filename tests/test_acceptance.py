@@ -19,14 +19,15 @@ from confpair.lincombo import LinCombo
 from confpair.normalize import normalize_pois, normalize_siop
 from confpair.operad import all_two_level_trees, check_duality, cooperad
 from confpair.otrees import graft_tree
-from confpair.pairing import first_degree_bases, gram_matrix, pair, pair_basis, rank_table
+from confpair.pairing import gram_matrix, pair, pair_basis, rank_table
 from confpair.trees import (Tree, enumerate_tall_forests, forest, parse_forest,
                             render_forest, tree_from_leaf_order)
 
 from conftest import (all_forests, basis_count_oracle, random_forest,
                       random_graph_edges)
 from oracles import (arnold_instance, arrow_reversal_instance, commutativity_instances,
-                     double_edge_graph, normalize_forest, rewrite_graph, tree_instances)
+                     double_edge_graph, first_degree_bases, normalize_forest, rewrite_graph,
+                     tree_instances)
 
 
 def report(ok, line):
@@ -239,12 +240,16 @@ def test_criterion_7_first_degree_structure():
     for n in range(2, 8):
         graphs, forests = first_degree_bases(n)
         ok = ok and len(graphs) == n * (n - 1) // 2
+        # verify_perfect reads its first-degree report off the k=1 block
+        ok = ok and set(graphs) == set(enumerate_long_graphs(n, 1))
+        ok = ok and set(forests) == set(enumerate_tall_forests(n, 1))
         for d in (2, 3):
             for r, g in enumerate(graphs):
                 for c, f in enumerate(forests):
                     v = pair_basis(g, f, d).value
                     ok = ok and v == (1 if r == c else 0)
-    report(ok, "criterion 7: degree-(d-1) Gram of single edges vs single pairs is the identity, n<=7")
+    report(ok, "criterion 7: degree-(d-1) Gram of single edges vs single pairs is the identity, "
+               "and they are the k=1 long graphs and tall forests, n<=7")
 
 
 def _geometry_suite(n, rng):

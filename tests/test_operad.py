@@ -1,8 +1,11 @@
+import dataclasses
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from confpair import operad
 from confpair.errors import ValidationError
 from confpair.graphs import Graph, parse_graph, render_graph
 from confpair.lincombo import LinCombo
@@ -189,6 +192,53 @@ def test_sampled_duality_beyond_exhaustive_range():
         tau = may_tree(len(arities), arities)
         rep = sample_duality(tau, d, trials=120, seed=61)
         assert rep.ok and rep.cases_checked == 120
+
+
+# g is long of degree 3, and it pairs nonzero with both compositions of its
+# degree on this tree: [1,2] outside with each 2-vertex tall forest at site 2
+CORRUPTED_TAU, CORRUPTED_G = "((*),(*,*,*))", "n=4; 1->3, 3->2, 2->4"
+
+
+def corrupted_sweep(monkeypatch, name, corrupt, d):
+    """check_duality with operad.<name> corrupted on CORRUPTED_G only; every
+    case of that graph must fail, and no other."""
+    tau, g = parse_otree(CORRUPTED_TAU), parse_graph(CORRUPTED_G)
+    clean = check_duality(tau, d)
+    assert clean.ok
+    real = getattr(operad, name)
+
+    def corrupted(h, x, d):
+        return corrupt(real(h, x, d)) if h == g else real(h, x, d)
+
+    monkeypatch.setattr(operad, name, corrupted)
+    rep = check_duality(tau, d)
+    cases = [(parse_forest("[1,2]"), {1: parse_forest("1"), 2: f})
+             for f in enumerate_tall_forests(3, 2)]
+    assert rep.cases_checked == clean.cases_checked
+    assert [(c["graph"], c["outer"], c["inner"]) for c in rep.failures] == [(g, *c) for c in cases]
+    assert all(c["lhs"] == -c["rhs"] != 0 for c in rep.failures)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_duality_sweep_catches_a_corrupted_split_in_every_case(monkeypatch, d):
+    splits = Counter()
+    real = operad.cooperad
+
+    def counted(h, tau, d):
+        splits[h] += 1
+        return real(h, tau, d)
+
+    def negated(res):
+        return dataclasses.replace(res, sign=-res.sign)
+
+    monkeypatch.setattr(operad, "cooperad", counted)
+    corrupted_sweep(monkeypatch, "cooperad", negated, d)
+    assert set(splits.values()) == {2}  # once per graph in each of the two sweeps
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_duality_sweep_catches_a_corrupted_pairing_in_every_case(monkeypatch, d):
+    corrupted_sweep(monkeypatch, "pair", lambda value: -value, d)
 
 
 def test_all_two_level_trees_counts():

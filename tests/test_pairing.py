@@ -1,16 +1,18 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from confpair.errors import ValidationError
 from confpair.graphs import Graph, enumerate_long_graphs, parse_graph
+from confpair import pairing
 from confpair.lincombo import LinCombo
-from confpair.pairing import (GramMatrix, PairingResult, first_degree_bases, gram_matrix,
-                              pair, pair_basis, pair_matrix, poincare_coefficients,
-                              rank_table, verify_perfect)
+from confpair.pairing import (GramMatrix, PairingResult, gram_matrix, pair, pair_basis,
+                              pair_matrix, poincare_coefficients, rank_table, verify_perfect)
 from confpair.trees import Tree, enumerate_tall_forests, parse_forest
 
 from conftest import basis_count_oracle
-from oracles import PlanarForest
+from oracles import PlanarForest, first_degree_bases
 
 
 def test_smallest_pair():
@@ -174,14 +176,38 @@ def test_verify_perfect_reads_each_degree_off_one_gram_matrix(monkeypatch):
 
 
 def test_verify_perfect_names_first_degree_failures():
-    def flip_first_edge(g, f, d):
-        res = pair_basis(g, f, d)
-        return PairingResult(-res.value, res.beta_witness) if g.edges == ((1, 2),) else res
+    # first_degree_failures index (i, j) lexicographically, the k=1 block by enumeration
+    for n in (3, 4, 5):
+        singles = enumerate_long_graphs(n, 1)
+        for p, edge in enumerate(itertools.combinations(range(1, n + 1), 2)):
+            e = singles.index(Graph(n, (edge,)))
 
-    rep = verify_perfect(3, 3, pair_fn=flip_first_edge)
-    assert not rep.ok and not rep.first_degree_identity
-    assert rep.first_degree_failures == [(0, 0, -1)]
-    assert [r.failures for r in rep.degrees] == [[], [(1, 1, -1)], []]
+            def flip_edge(g, f, d):
+                res = pair_basis(g, f, d)
+                return PairingResult(-res.value, res.beta_witness) if g.edges == (edge,) else res
+
+            for d in (2, 3):
+                rep = verify_perfect(n, d, pair_fn=flip_edge)
+                assert not rep.ok and not rep.first_degree_identity
+                assert rep.first_degree_failures == [(p, p, -1)]
+                assert [r.failures for r in rep.degrees] == (
+                    [[], [(e, e, -1)]] + [[]] * (n - 2))
+
+
+def test_verify_perfect_builds_one_block_per_degree(monkeypatch):
+    calls = []
+
+    def counted(graphs, forests, d):
+        calls.append(len(graphs))
+        return pair_matrix(graphs, forests, d)
+
+    monkeypatch.setattr(pairing, "pair_matrix", counted)
+    for n in range(1, 7):
+        for d in (2, 3):
+            calls.clear()
+            rep = verify_perfect(n, d)
+            assert rep.ok and len(calls) == n
+            assert rep.first_degree_size == n * (n - 1) // 2
 
 
 def test_first_degree_bases_count():
