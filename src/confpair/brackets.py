@@ -9,14 +9,18 @@ reduces to forests by the Leibniz rule
     [X, Y.Z]  =  [X, Y].Z  +  (-1)^((|X| + d-1)|Y|)  Y.[X, Z]
 
 where |X| counts (brackets of X)*(d-1): the operator [X, -] is a derivation
-of degree |X| + d - 1.  Bracket arguments swap with the shifted-degree sign,
-and product factors reorder into canonical (min-label) forest storage with
-the usual permutation sign on internal vertices.
+of degree |X| + d - 1.  In both slots at once, [u_1...u_p, w_1...w_q] sums
+over factor pairs: term (a, b) is w_<b u_<a [w_b, u_a] u_>a w_>b, signed for
+[U, -] passing w_<b, swapping U and w_b, and [w_b, -] passing u_<a (for p =
+1, [u, w_b] with the first sign).  Bracket arguments swap with the
+shifted-degree sign, and product factors reorder into canonical (min-label)
+forest storage with the usual permutation sign on internal vertices.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 from .errors import ValidationError
 from .lincombo import LinCombo
@@ -90,29 +94,25 @@ def map_vars(e, fn):
 # ---------------------------------------------------------------------------
 # reduction to forests
 
-def _monomial_brackets(trees):
-    return sum(_node_size(t) for t in trees)
-
-
 def _bracket_monomials(u_trees, w_trees, d):
-    """[U, W] for dot-monomials of tree nodes; yields (coeff, tree tuple)."""
+    """[U, W] for dot-monomials of tree nodes; a list of (coeff, tree tuple)."""
     if len(u_trees) == 1 and len(w_trees) == 1:
         return [(1, ((u_trees[0], w_trees[0]),))]
-    if len(w_trees) > 1:
-        bu = _monomial_brackets(u_trees)
-        y, z = w_trees[0], w_trees[1:]
-        out = []
-        # [X, Y].Z
-        for c, trees in _bracket_monomials(u_trees, (y,), d):
-            out.append((c, trees + z))
-        # sign * Y.[X, Z]
-        s = eps((bu + 1) * _node_size(y), d)
-        for c, trees in _bracket_monomials(u_trees, z, d):
-            out.append((s * c, (y,) + trees))
-        return out
-    # len(u_trees) > 1: swap arguments
-    s = anti_sign(_monomial_brackets(u_trees), _monomial_brackets(w_trees), d)
-    return [(s * c, trees) for c, trees in _bracket_monomials(w_trees, u_trees, d)]
+    u_before = list(itertools.accumulate(map(_node_size, u_trees), initial=0))  # |u_<a|
+    bu, w_before, out = u_before[-1], 0, []
+    for b, w in enumerate(w_trees):
+        bw = _node_size(w)
+        head, tail = w_trees[:b], w_trees[b + 1:]
+        s = eps((bu + 1) * w_before, d)
+        w_before += bw
+        if len(u_trees) == 1:
+            out.append((s, head + ((u_trees[0], w),) + tail))
+        else:  # [U, w_b] = anti_sign * [w_b, U], expanded over U's factors
+            s *= anti_sign(bu, bw, d)
+            out += [(s * eps((bw + 1) * u_before[a], d),
+                     head + u_trees[:a] + ((w, u),) + u_trees[a + 1:] + tail)
+                    for a, u in enumerate(u_trees)]
+    return out
 
 
 def _reduce_monomials(e, d):

@@ -132,6 +132,8 @@ def cmd_normalize(args):
     text = args.input if args.input is not None else sys.stdin.read()
     terms = _parse_combo(text, lambda s: parse(s, n=args.n))
     combo = LinCombo(terms)
+    for x, _ in combo:  # reading an element's support walks all n of its labels
+        _refuse_above_budget(x.n, f"reading an element walks {_compact(x.n)} labels")
     labels = sum(support(x) * x.n for x, _ in combo)
     _refuse_above_budget(labels, f"the {basis} expansion needs {_compact(labels)} labels")
     out = normalize(combo, args.d)

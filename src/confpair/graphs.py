@@ -24,11 +24,12 @@ class Graph:
     edges: tuple  # tuple of (i, j) pairs, order significant
 
     def __post_init__(self):
+        n = self.n
         for e in self.edges:
-            if len(e) != 2:
-                raise ValidationError(f"edge {e!r} is not a pair")
-            i, j = e
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
+            i, j = e if type(e) is tuple and len(e) == 2 else (None, None)
+            if type(i) is not int or type(j) is not int:
+                raise ValidationError(f"edge {e!r} is not a pair of ints")
+            if not (1 <= i <= n and 1 <= j <= n):
                 raise ValidationError(f"edge {e} out of range 1..{self.n}")
             if i == j:
                 raise ValidationError(f"edge {e} is a self-loop")

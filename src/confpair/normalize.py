@@ -75,21 +75,21 @@ def _tall_chains(t: Tree, d: int):
     first at each vertex above it: a product of choices, with no dead end.
     """
 
-    def orders(node, lead):
-        # lead: the path down to the leaf that must come first; -> (vertex count, chains)
+    def orders(node):
+        # -> (vertex count, chains); a chain through the minimum starts with it
         if isinstance(node, int):
             return 0, [((node,), 1)]
-        side, below = (lead[0], lead[1:]) if lead else (0, None)
-        a, first = orders(node[side], below)
-        b, rest = orders(node[1 - side], None)
-        swap = anti_sign(a, b, d)
-        ahead = swap if side else 1  # the minimum lies right: P enters there first
-        out = [(x + y, u * v * ahead) for x, u in first for y, v in rest]
-        if not lead:  # either side may come first
-            out += [(y + x, u * v * swap) for x, u in first for y, v in rest]
+        a, left = orders(node[0])
+        b, right = orders(node[1])
+        out = []
+        if right[0][0][0] != t.min_label:  # the left side may come first
+            out += [(x + y, u * v) for x, u in left for y, v in right]
+        if left[0][0][0] != t.min_label:  # the right side may come first
+            swap = anti_sign(a, b, d)
+            out += [(y + x, u * v * swap) for x, u in left for y, v in right]
         return a + b + 1, out
 
-    return orders(t.node, t.leaf_paths[t.min_label])[1]
+    return orders(t.node)[1]
 
 
 def _support_size(f: Forest) -> int:
@@ -131,8 +131,9 @@ def normalize_pois(x, d: int) -> LinCombo:
 def _orient_away(g: Graph):
     """Reorient each edge of g away from its component minimum.
 
-    Returns (new edges, flip count) or None when some component has a cycle
-    or a repeated vertex pair (a forest has exactly n - #components edges).
+    Returns (oriented edges, flip count, vertex -> children), all read off
+    one walk, or None when some component has a cycle or a repeated vertex
+    pair (a forest has exactly n - #components edges).
     """
     if len(g.edges) > g.n - len(g.components):
         return None
@@ -141,6 +142,7 @@ def _orient_away(g: Graph):
         adj[i].append(j)
         adj[j].append(i)
     parent = {}
+    children = {v: [] for v in adj}
     for comp in g.components:
         stack = [comp[0]]  # components are sorted tuples: comp[0] is the minimum
         parent[comp[0]] = None
@@ -149,24 +151,10 @@ def _orient_away(g: Graph):
             for w in adj[v]:
                 if w not in parent:
                     parent[w] = v
+                    children[v].append(w)
                     stack.append(w)
-    flips = 0
-    oriented = []
-    for i, j in g.edges:
-        if parent[j] == i:
-            oriented.append((i, j))
-        else:
-            oriented.append((j, i))
-            flips += 1
-    return tuple(oriented), flips
-
-
-def _children(n, edges):
-    """vertex -> its children, for edges oriented away from each root."""
-    children = {v: [] for v in range(1, n + 1)}
-    for i, j in edges:
-        children[i].append(j)
-    return children
+    oriented = tuple((i, j) if parent[j] == i else (j, i) for i, j in g.edges)
+    return oriented, sum(parent[j] != i for i, j in g.edges), children
 
 
 def _long_chains(root, children):
@@ -188,7 +176,7 @@ def _long_support_size(g: Graph) -> int:
     oriented = _orient_away(g)
     if oriented is None:
         return 0
-    children = _children(g.n, oriented[0])
+    children = oriented[2]
     order = [comp[0] for comp in g.components]
     for v in order:  # breadth first: each parent before its children
         order.extend(children[v])
@@ -204,8 +192,7 @@ def normalize_graph(g: Graph, d: int) -> LinCombo:
     oriented = _orient_away(g)
     if oriented is None:
         return LinCombo.zero()
-    edges, flips = oriented
-    children = _children(g.n, edges)
+    edges, flips, children = oriented
     terms = []
     for blocks in itertools.product(*(_long_chains(comp[0], children) for comp in g.components)):
         # the edge into v pairs with the comb vertex where v joins its block

@@ -173,7 +173,7 @@ class Forest:
             if seen & t.labels:
                 raise ValidationError("forest trees share leaf labels")
             seen |= t.labels
-        if seen != set(range(1, self.n + 1)):
+        if len(seen) != self.n or seen != set(range(1, self.n + 1)):  # a huge n fails the count
             raise ValidationError(
                 f"forest labels {sorted(seen)} do not partition 1..{self.n}")
 
@@ -268,6 +268,8 @@ class OrderedPartition:
         if len(set(labs)) != len(labs):
             raise ValidationError("ordered partition repeats a label")
         for b in self.blocks:
+            if not b or b[0] < 1:
+                raise ValidationError(f"block {b} is empty or leads with a label below 1")
             if b[0] != min(b):
                 raise ValidationError(f"block {b} does not start with its minimum")
         mins = [b[0] for b in self.blocks]

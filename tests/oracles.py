@@ -13,13 +13,19 @@ normalize.anti_sign, and the cyclic Jacobi relation reads
 For odd d these reduce to the classical unsigned identities.
 
 Graph rewriting.  normalize_graph reads each long coefficient as a sign as
-well; the reference here rewrites instead (rewrite_graph):
+well; the reference here rewrites instead (rewrite_graph), from an
+orientation walk of its own (_orient_from_minima), not normalize's:
 repeated vertex pairs and cycles die; arrow reversal costs (-1)^d per arrow
 and a transposition of edges costs (-1)^(d-1); the Arnold identity
 a_jk a_kl + a_kl a_lj + a_lj a_jk = 0 eliminates branch vertices.  Each
 Arnold step pushes a subtree one level deeper, so the depth-sum measure
 terminates at disjoint chains, which are then ordered canonically.  Its
 correctness is certified by the pairing, not by a critical-pair analysis.
+
+Leibniz reduction.  brackets._bracket_monomials reads [U, W] for two
+monomials as one closed-form sum over factor pairs; the reference here
+(bracket_monomials) applies the Leibniz rule one factor at a time, through
+a recursion that swaps its arguments when U has several factors.
 
 Explicit relation instances, for annihilation testing against the pairing.
 Every element built here lies in the kernel of the quotient map, so it must
@@ -39,7 +45,7 @@ import itertools
 from confpair.errors import ValidationError
 from confpair.graphs import Graph
 from confpair.lincombo import LinCombo
-from confpair.normalize import _orient_away, anti_sign, eps, reversal_sign
+from confpair.normalize import anti_sign, eps, reversal_sign
 from confpair.trees import (Forest, Tree, _node_size, inversion_parity, single_tree_forest,
                             sort_trees_with_parity)
 
@@ -151,9 +157,38 @@ def _long_order(edges):
     return tuple(target), inversion_parity([index[e] for e in target])
 
 
+def _orient_from_minima(g: Graph):
+    """(edges of g pointed away from their component's minimum, how many
+    turned), by a depth-first walk from each minimum; None when a walk meets
+    a vertex twice, i.e. g has a cycle or a repeated vertex pair."""
+    incident = {v: [] for v in range(1, g.n + 1)}
+    for idx, (i, j) in enumerate(g.edges):
+        incident[i].append(idx)
+        incident[j].append(idx)
+    oriented = [None] * len(g.edges)
+    seen = set()
+    for root in range(1, g.n + 1):  # the first vertex not seen is its component's minimum
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for idx in incident[v]:
+                if oriented[idx] is None:
+                    i, j = g.edges[idx]
+                    w = j if i == v else i
+                    if w in seen:
+                        return None
+                    seen.add(w)
+                    oriented[idx] = (v, w)
+                    stack.append(w)
+    return tuple(oriented), sum(e != o for e, o in zip(g.edges, oriented))
+
+
 def rewrite_graph(g: Graph, d: int) -> LinCombo:
     """Rewrite one graph into the long basis (the reference for normalize_graph)."""
-    oriented = _orient_away(g)
+    oriented = _orient_from_minima(g)
     if oriented is None:
         return LinCombo.zero()
     edges, flips = oriented
@@ -181,6 +216,36 @@ def rewrite_graph(g: Graph, d: int) -> LinCombo:
         # (b,a),(a,v) reversed in place to stay oriented away: two flips
         work.append((-sign * reversal_sign(2, 0, d), tuple(word2)))
     return LinCombo(terms)
+
+
+# ---------------------------------------------------------------------------
+# the Leibniz rule one factor at a time
+
+def _monomial_brackets(trees):
+    return sum(_node_size(t) for t in trees)
+
+
+def bracket_monomials(u_trees, w_trees, d):
+    """[U, W] for dot-monomials of tree nodes, by the Leibniz rule in W's
+    first factor and an argument swap when U has several (the reference for
+    brackets._bracket_monomials); a list of (coeff, tree tuple)."""
+    if len(u_trees) == 1 and len(w_trees) == 1:
+        return [(1, ((u_trees[0], w_trees[0]),))]
+    if len(w_trees) > 1:
+        bu = _monomial_brackets(u_trees)
+        y, z = w_trees[0], w_trees[1:]
+        out = []
+        # [X, Y].Z
+        for c, trees in bracket_monomials(u_trees, (y,), d):
+            out.append((c, trees + z))
+        # sign * Y.[X, Z]
+        s = eps((bu + 1) * _node_size(y), d)
+        for c, trees in bracket_monomials(u_trees, z, d):
+            out.append((s * c, (y,) + trees))
+        return out
+    # len(u_trees) > 1: swap arguments
+    s = anti_sign(_monomial_brackets(u_trees), _monomial_brackets(w_trees), d)
+    return [(s * c, trees) for c, trees in bracket_monomials(w_trees, u_trees, d)]
 
 
 # ---------------------------------------------------------------------------

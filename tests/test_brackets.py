@@ -1,10 +1,15 @@
+import itertools
+import random
+
 import pytest
 
-from confpair.brackets import (DOT, br, dot, dot_list, forest_to_expr, map_vars,
-                               reduce_bracket, reduce_expr, render_expr, var)
+from conftest import all_tree_nodes, set_partitions
+from confpair.brackets import (DOT, _bracket_monomials, br, dot, dot_list, forest_to_expr,
+                               map_vars, reduce_bracket, reduce_expr, render_expr, var)
 from confpair.errors import ValidationError
 from confpair.lincombo import LinCombo
 from confpair.trees import parse_forest, render_forest
+from oracles import bracket_monomials
 
 
 def as_dict(combo):
@@ -113,3 +118,46 @@ def test_malformed_expression_nodes_are_refused(reduce, node):
     for e in (node, br(var(1), node), dot(node, var(1))):
         with pytest.raises(ValidationError, match="malformed expression node"):
             reduce(e, 2)
+
+
+def _random_node(labels, rng):
+    """A random planar tree node on the given labels."""
+    if len(labels) == 1:
+        return labels[0]
+    cut = rng.randrange(1, len(labels))
+    return (_random_node(labels[:cut], rng), _random_node(labels[cut:], rng))
+
+
+def _random_monomial(labels, factors, rng):
+    """`factors` random tree nodes whose labels are `labels`, in order."""
+    cuts = sorted(rng.sample(range(1, len(labels)), factors - 1))
+    return tuple(_random_node(labels[a:b], rng)
+                 for a, b in zip([0] + cuts, cuts + [len(labels)]))
+
+
+def _monomials(n):
+    """Every ordered product of tree nodes whose labels are 1..n."""
+    for blocks in set_partitions(list(range(1, n + 1))):
+        for order in itertools.permutations(blocks):
+            yield from itertools.product(*(list(all_tree_nodes(b)) for b in order))
+
+
+def test_bracket_monomials_match_one_factor_at_a_time():
+    """The closed-form sum over factor pairs is the Leibniz recursion's list,
+    order included: on seeded random monomials with p, q <= 4 factors, and on
+    every split of a product of tree nodes on <= 4 labels into U and W."""
+    rng = random.Random(14)
+    pairs = []
+    for _ in range(1500):
+        p, q = rng.randint(1, 4), rng.randint(1, 4)
+        labels = list(range(1, p + q + rng.randint(0, 4) + 1))
+        rng.shuffle(labels)
+        cut = rng.randint(p, len(labels) - q)
+        pairs.append((_random_monomial(labels[:cut], p, rng),
+                      _random_monomial(labels[cut:], q, rng)))
+    for n in range(2, 5):
+        for mono in _monomials(n):
+            pairs += [(mono[:k], mono[k:]) for k in range(1, len(mono))]
+    for u, w in pairs:
+        for d in (2, 3, 4, 5):
+            assert _bracket_monomials(u, w, d) == bracket_monomials(u, w, d), (u, w, d)

@@ -529,3 +529,39 @@ def test_verify_prints_the_same_report_as_the_per_entry_oracle(capsys, monkeypat
                         lambda n, d: verify_perfect(n, d, pair_fn=pair_basis))
     assert run(capsys, argv) == (kernel.returncode, kernel.stdout, kernel.stderr) == (
         0, kernel.stdout, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["pair", "--graph", "n=99999999999999999999", "--forest", "1"],
+    ["normalize", "--kind", "pois", "--input", "1", "--n", "30000000"],
+    ["normalize", "--kind", "siop", "--input", "1 * n=99999999999999999999; 1->2"],
+    ["normalize", "--kind", "siop", "--input", "n=30000000"],
+], ids=["pair", "pois", "siop-edge", "siop-empty"])
+def test_a_huge_n_is_refused_before_its_labels_are_walked(argv):
+    """A forest compares its label count with n before it builds 1..n, and
+    normalize checks each element's n before it reads the support.  The
+    child runs under a 1 GiB address-space cap, so a regression fails here
+    with a MemoryError instead of exhausting the machine; it prints how long
+    main took."""
+    child = ("import resource, sys, time\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
+             "from confpair.cli import main\n"
+             "start = time.perf_counter()\n"
+             "code = main(sys.argv[1:])\n"
+             "print(time.perf_counter() - start)\n"
+             "sys.exit(code)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    res = subprocess.run([sys.executable, "-c", child] + argv, capture_output=True, text=True,
+                         timeout=120, env={**os.environ, "PYTHONPATH": str(src),
+                                           "OPENBLAS_NUM_THREADS": "1"})
+    assert (res.returncode, res.stderr.count("\n")) == (2, 1), res.stderr
+    assert res.stderr.startswith("validation error: ")
+    assert float(res.stdout) < 1
+
+
+def test_a_dead_graph_above_the_budget_is_refused(capsys):
+    code, out, err = run(capsys, ["normalize", "--kind", "siop",
+                                  "--input", f"n={SIZE_BUDGET + 1}; 1->2, 2->1"])
+    assert (code, out) == (2, "")
+    assert err == (f"validation error: reading an element walks {SIZE_BUDGET + 1} labels, "
+                   f"above the budget of {SIZE_BUDGET}\n")

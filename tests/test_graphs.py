@@ -46,6 +46,13 @@ def test_graph_validation():
         Graph(3, ((2, 2),))
 
 
+@pytest.mark.parametrize("edges", [(1,), ((1, 2.0),), ((True, 2),), ([1, 2],), ((1, 2, 3),)],
+                         ids=repr)
+def test_graph_refuses_an_edge_that_is_not_a_pair_of_ints(edges):
+    with pytest.raises(ValidationError, match="is not a pair of ints"):
+        Graph(3, edges)
+
+
 def test_repeated_edges_allowed_at_this_level():
     g = Graph(3, ((1, 2), (1, 2)))
     assert g.k == 2

@@ -167,6 +167,13 @@ def test_ordered_partition_validation():
         OrderedPartition(((3, 4), (1, 2)))
 
 
+@pytest.mark.parametrize("blocks", [((),), ((1,), ()), ((0,),), ((0, 1),), ((-2,), (1,))],
+                         ids=repr)
+def test_ordered_partition_refuses_an_empty_block_or_a_label_below_one(blocks):
+    with pytest.raises(ValidationError, match="is empty or leads with a label below 1"):
+        OrderedPartition(blocks)
+
+
 def test_sort_parity_counts_vertex_blocks():
     a = tree_from_leaf_order((3, 4))     # one vertex
     b = tree_from_leaf_order((1, 2, 5))  # two vertices
