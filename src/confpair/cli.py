@@ -5,7 +5,16 @@ verify, duality, geom-check.  Global flags live on every subcommand: --d
 (integer dimension, >= 2; signs only use its parity but rank tables use
 the true degrees k(d-1)), --format text|json, --cache-dir, --seed.
 --cache-dir is accepted for compatibility and ignored: every result is
-recomputed, nothing is read from or written to disk.
+recomputed, nothing is read from or written to disk.  geom-check seeds
+numpy's generator, which takes no negative --seed (exit 2).
+
+Sizes are checked against SIZE_BUDGET before any work starts; for
+geom-check the size is its coordinates, samples x eps values x n x d.
+
+The parser is built once per process, on the first call of main; each
+call looks its cmd_<name> up in this module at call time.  A command
+builds only the format --format names: this module alone turns results
+into text lines or JSON payloads.
 
 Exit codes: 0 success, 1 parse error, 2 validation error, 3 a structural
 verification failed.  Output is byte-deterministic for fixed (argv, seed).
@@ -14,6 +23,7 @@ verification failed.  Output is byte-deterministic for fixed (argv, seed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -25,11 +35,11 @@ from .lincombo import LinCombo
 from .normalize import _long_support_size, _support_size, normalize_pois, normalize_siop
 from .operad import check_duality, cooperad, sample_duality, substitute_basis
 from .otrees import parse_otree
-from .pairing import describe_pair, gram_matrix, poincare_coefficients, rank_table, verify_perfect
+from .pairing import gram_matrix, pair_basis, poincare_coefficients, rank_table, verify_perfect
 from .trees import (MAX_NESTING, check_degree, enumerate_tall_forests, forest_to_json,
                     parse_forest, render_forest)
 
-SIZE_BUDGET = 1_000_000  # most labels, Gram entries or rank digits one command may build
+SIZE_BUDGET = 1_000_000  # most labels, coordinates, Gram entries or rank digits to build
 
 
 def _compact(size):
@@ -107,18 +117,33 @@ def _combo_json(combo, n, element_json):
 
 
 def _emit(args, text_lines, payload):
+    """Print the format args.format names; only its function is called."""
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload(), sort_keys=True))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
+
+
+def describe_pair(g, f, d, res):
+    """The JSON of pair: both inputs, d, and res = pair_basis(g, f, d)."""
+    return {
+        "graph": render_graph(g),
+        "forest": render_forest(f),
+        "d": d,
+        "value": res.value,
+        "beta": None if res.beta_witness is None else [
+            {"edge": list(e), "vertex": {"tree": v[0], "path": list(v[1])}}
+            for e, v in res.beta_witness
+        ],
+    }
 
 
 def cmd_pair(args):
     g = parse_graph(args.graph)
     f = parse_forest(args.forest, n=g.n)
-    info = describe_pair(g, f, args.d)
-    _emit(args, [str(info["value"])], info)
+    res = pair_basis(g, f, args.d)
+    _emit(args, lambda: [str(res.value)], lambda: describe_pair(g, f, args.d, res))
     return 0
 
 
@@ -138,7 +163,7 @@ def cmd_normalize(args):
     _refuse_above_budget(labels, f"the {basis} expansion needs {_compact(labels)} labels")
     out = normalize(combo, args.d)
     n = args.n or next((x.n for x, _ in combo or terms), 0)  # a zero result keeps the input's n
-    _emit(args, _combo_lines(out, render), _combo_json(out, n, to_json))
+    _emit(args, lambda: _combo_lines(out, render), lambda: _combo_json(out, n, to_json))
     return 0
 
 
@@ -159,7 +184,8 @@ def cmd_compose(args):
     labels = sum(_support_size(f) for f, _ in reduced) * n
     _refuse_above_budget(labels, f"the tall expansion needs {_compact(labels)} labels")
     out = normalize_pois(reduced, args.d)
-    _emit(args, _combo_lines(out, render_forest), _combo_json(out, n, forest_to_json))
+    _emit(args, lambda: _combo_lines(out, render_forest),
+          lambda: _combo_json(out, n, forest_to_json))
     return 0
 
 
@@ -167,11 +193,12 @@ def cmd_cooperad(args):
     g = parse_graph(args.graph)
     tau = parse_otree(args.otree)
     res = cooperad(g, tau, args.d)
-    lines = [f"sign {res.sign}"] + [
-        f"vertex {list(v)}: {render_graph(factor)}"
-        for v, factor in zip(res.vertices, res.factors)
-    ]
-    _emit(args, lines, res.to_json())
+    _emit(args,
+          lambda: [f"sign {res.sign}"] + [f"vertex {list(v)}: {render_graph(factor)}"
+                                          for v, factor in zip(res.vertices, res.factors)],
+          lambda: {"sign": res.sign,
+                   "factors": [{"vertex": list(v), "graph": render_graph(factor)}
+                               for v, factor in zip(res.vertices, res.factors)]})
     return 0
 
 
@@ -179,10 +206,11 @@ def cmd_gram(args):
     _check_budget(args.n, args.k, lambda size, n: size ** 2, "entries")
     gm = gram_matrix(args.n, args.k, args.d)
     identity = not gm.failures()
-    lines = [" ".join(f"{v:2d}" for v in row) for row in gm.entries]
-    payload = {"n": gm.n, "k": gm.k, "parity": gm.parity, "identity": identity,
-               "entries": [list(r) for r in gm.entries]}
-    _emit(args, lines + [f"identity: {identity}"], payload)
+    _emit(args,
+          lambda: [" ".join(f"{v:2d}" for v in row) for row in gm.entries]
+          + [f"identity: {identity}"],
+          lambda: {"n": gm.n, "k": gm.k, "parity": gm.parity, "identity": identity,
+                   "entries": [list(r) for r in gm.entries]})
     if not identity:
         raise VerificationFailure(f"Gram matrix n={args.n} k={args.k} is not the identity")
     return 0
@@ -196,10 +224,9 @@ def cmd_ranks(args):
     _refuse_above_budget(digits, f"n={args.n} needs up to {digits:.0f} digits")
     table = rank_table(args.n, args.d)
     rows = table.csv_rows()
-    lines = ["degree,rank"] + [f"{deg},{q}" for deg, q in rows]
-    payload = {"n": table.n, "d": table.d,
-               "ranks": [{"degree": deg, "rank": q} for deg, q in rows]}
-    _emit(args, lines, payload)
+    _emit(args, lambda: ["degree,rank"] + [f"{deg},{q}" for deg, q in rows],
+          lambda: {"n": table.n, "d": table.d,
+                   "ranks": [{"degree": deg, "rank": q} for deg, q in rows]})
     return 0
 
 
@@ -209,22 +236,58 @@ def cmd_enumerate(args):
         items = [render_forest(f) for f in enumerate_tall_forests(args.n, args.k)]
     else:
         items = [render_graph(g) for g in enumerate_long_graphs(args.n, args.k)]
-    _emit(args, items, {"n": args.n, "k": args.k, "kind": args.kind,
-                        "count": len(items), "elements": items})
+    _emit(args, lambda: items, lambda: {"n": args.n, "k": args.k, "kind": args.kind,
+                                        "count": len(items), "elements": items})
     return 0
 
 
-def cmd_verify(args):
-    report = verify_perfect(args.n, args.d)
-    lines = [
+def _perfect_lines(report):
+    return [
         f"k={r.k}: size {r.size} identity {r.identity}" for r in report.degrees
     ] + [f"first degree: size {report.first_degree_size} "
          f"identity {report.first_degree_identity}",
          f"ok: {report.ok}"]
-    _emit(args, lines, report.to_json())
+
+
+def _perfect_json(report):
+    return {
+        "n": report.n,
+        "parity": report.parity,
+        "degrees": [
+            {"k": r.k, "size": r.size, "identity": r.identity,
+             "failures": [list(t) for t in r.failures]}
+            for r in report.degrees
+        ],
+        "first_degree": {
+            "size": report.first_degree_size,
+            "identity": report.first_degree_identity,
+            "failures": [list(t) for t in report.first_degree_failures],
+        },
+        "ok": report.ok,
+    }
+
+
+def cmd_verify(args):
+    report = verify_perfect(args.n, args.d)
+    _emit(args, lambda: _perfect_lines(report), lambda: _perfect_json(report))
     if not report.ok:
         raise VerificationFailure(f"perfect-pairing verification failed for n={args.n}")
     return 0
+
+
+def _duality_json(report):
+    return {
+        "tau": report.tau,
+        "d": report.d,
+        "cases_checked": report.cases_checked,
+        "failures": [
+            {"graph": render_graph(c["graph"]),
+             "outer": render_forest(c["outer"]),
+             "inner": {str(k): render_forest(v) for k, v in c["inner"].items()},
+             "lhs": c["lhs"], "rhs": c["rhs"]}
+            for c in report.failures
+        ],
+    }
 
 
 def cmd_duality(args):
@@ -239,8 +302,8 @@ def cmd_duality(args):
         labels = args.trials * n
         _refuse_above_budget(labels, f"{args.trials} trials need {_compact(labels)} labels")
         report = sample_duality(tau, args.d, trials=args.trials, seed=args.seed)
-    lines = [f"cases {report.cases_checked} failures {len(report.failures)}"]
-    _emit(args, lines, report.to_json())
+    _emit(args, lambda: [f"cases {report.cases_checked} failures {len(report.failures)}"],
+          lambda: _duality_json(report))
     if not report.ok:
         raise VerificationFailure("operad/cooperad duality failed")
     return 0
@@ -254,16 +317,14 @@ def cmd_geom_check(args):
     for chunk in args.eps.split(","):
         eps_list.append(_parse_number(float, chunk, args.eps, pos))
         pos += len(chunk) + 1
-    labels = args.samples * len(eps_list) * f.n
-    _refuse_above_budget(labels, f"{args.samples} samples at {len(eps_list)} eps "
-                                 f"need {_compact(labels)} labels")
+    coords = args.samples * len(eps_list) * f.n * args.d  # n points in R^d per sample and eps
+    _refuse_above_budget(coords, f"{args.samples} samples at {len(eps_list)} eps "
+                                 f"need {_compact(coords)} coordinates")
     report = limit_check(f, g, args.d, eps_list, seed=args.seed,
                          samples=args.samples)
-    lines = [
-        f"eps {r['eps']}: max deviation {r['max_deviation']:.3e}"
-        for r in report["results"]
-    ]
-    _emit(args, lines, report)
+    _emit(args, lambda: [f"eps {r['eps']}: max deviation {r['max_deviation']:.3e}"
+                         for r in report["results"]],
+          lambda: report)
     return 0
 
 
@@ -275,6 +336,7 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="confpair",
@@ -286,7 +348,6 @@ def build_parser():
     p.add_argument("--graph", required=True)
     p.add_argument("--forest", required=True)
     _add_common(p)
-    p.set_defaults(fn=cmd_pair)
 
     p = sub.add_parser("normalize", help="rewrite onto the tall/long basis")
     p.add_argument("--kind", choices=("pois", "siop"), required=True)
@@ -294,50 +355,42 @@ def build_parser():
                    help="lines 'coeff * element'; reads stdin when omitted")
     p.add_argument("--n", type=int, default=None)
     _add_common(p)
-    p.set_defaults(fn=cmd_normalize)
 
     p = sub.add_parser("compose", help="operadic composition of forests")
     p.add_argument("--outer", required=True)
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--inner", required=True)
     _add_common(p)
-    p.set_defaults(fn=cmd_compose)
 
     p = sub.add_parser("cooperad", help="graph-side structure map along an o-tree")
     p.add_argument("--graph", required=True)
     p.add_argument("--otree", required=True)
     _add_common(p)
-    p.set_defaults(fn=cmd_cooperad)
 
     p = sub.add_parser("gram", help="pairing matrix of long graphs vs tall forests")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     _add_common(p)
-    p.set_defaults(fn=cmd_gram)
 
     p = sub.add_parser("ranks", help="Betti numbers (CSV degree,rank)")
     p.add_argument("--n", type=int, required=True)
     _add_common(p)
-    p.set_defaults(fn=cmd_ranks)
 
     p = sub.add_parser("enumerate", help="canonical basis elements")
     p.add_argument("--kind", choices=("tall-forests", "long-graphs"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     _add_common(p)
-    p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("verify", help="perfect-pairing verification for one n")
     p.add_argument("--n", type=int, required=True)
     _add_common(p)
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("duality", help="operad/cooperad duality for a two-level o-tree")
     p.add_argument("--otree", required=True)
     p.add_argument("--trials", type=int, default=200,
                    help="sample size when the tree has more than 5 leaves")
     _add_common(p)
-    p.set_defaults(fn=cmd_duality)
 
     p = sub.add_parser("geom-check", help="eps -> 0 limit deviations")
     p.add_argument("--forest", required=True)
@@ -345,18 +398,16 @@ def build_parser():
     p.add_argument("--eps", default="0.1,0.01,0.001")
     p.add_argument("--samples", type=int, default=8)
     _add_common(p)
-    p.set_defaults(fn=cmd_geom_check)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.d < 2:
             raise ValidationError("d must be >= 2")
-        return args.fn(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1

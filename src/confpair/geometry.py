@@ -146,6 +146,8 @@ def limit_check(f: Forest, g: Graph, d: int, eps_list, seed: int = 0,
     """
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
+    if seed < 0:  # numpy's default_rng refuses a negative seed
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if g.n != f.n:
         raise ValidationError("graph and forest sizes differ")
     rng = np.random.default_rng(seed)

@@ -38,13 +38,12 @@ from dataclasses import dataclass
 
 from .brackets import forest_to_expr, map_vars, reduce_expr
 from .errors import ValidationError
-from .graphs import Graph, enumerate_long_graphs, render_graph
+from .graphs import Graph, enumerate_long_graphs
 from .lincombo import LinCombo
 from .normalize import eps, normalize_pois
 from .otrees import LEAF, OTree, leaf_nadir, may_tree, render_otree
 from .pairing import pair, pair_basis
-from .trees import (Forest, enumerate_tall_forests, inversion_parity, render_forest,
-                    vertices_before_leaf)
+from .trees import Forest, enumerate_tall_forests, inversion_parity, vertices_before_leaf
 
 
 def substitute_basis(f1: Forest, i: int, f2: Forest, d: int) -> LinCombo:
@@ -74,15 +73,6 @@ class CooperadOutput:
     sign: int
     vertices: tuple          # internal vertex paths of tau, depth-first
     factors: tuple           # one Graph per vertex, same order
-
-    def to_json(self):
-        return {
-            "sign": self.sign,
-            "factors": [
-                {"vertex": list(v), "graph": render_graph(g)}
-                for v, g in zip(self.vertices, self.factors)
-            ],
-        }
 
 
 def cooperad(g: Graph, tau: OTree, d: int) -> CooperadOutput:
@@ -151,20 +141,6 @@ class DualityReport:
     @property
     def ok(self):
         return not self.failures
-
-    def to_json(self):
-        return {
-            "tau": self.tau,
-            "d": self.d,
-            "cases_checked": self.cases_checked,
-            "failures": [
-                {"graph": render_graph(c["graph"]),
-                 "outer": render_forest(c["outer"]),
-                 "inner": {str(k): render_forest(v) for k, v in c["inner"].items()},
-                 "lhs": c["lhs"], "rhs": c["rhs"]}
-                for c in self.failures
-            ],
-        }
 
 
 def _duality_bases(tau: OTree):

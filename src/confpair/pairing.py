@@ -27,10 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .graphs import Graph, enumerate_long_graphs, render_graph
+from .graphs import Graph, enumerate_long_graphs
 from .lincombo import LinCombo
-from .trees import (Forest, check_degree, enumerate_tall_forests, inversion_parity,
-                    render_forest)
+from .trees import Forest, check_degree, enumerate_tall_forests, inversion_parity
 
 
 @dataclass(frozen=True)
@@ -289,23 +288,6 @@ class PerfectReport:
     first_degree_failures: list
     ok: bool
 
-    def to_json(self):
-        return {
-            "n": self.n,
-            "parity": self.parity,
-            "degrees": [
-                {"k": r.k, "size": r.size, "identity": r.identity,
-                 "failures": [list(t) for t in r.failures]}
-                for r in self.degrees
-            ],
-            "first_degree": {
-                "size": self.first_degree_size,
-                "identity": self.first_degree_identity,
-                "failures": [list(t) for t in self.first_degree_failures],
-            },
-            "ok": self.ok,
-        }
-
 
 def verify_perfect(n: int, d: int, pair_fn=None) -> PerfectReport:
     """Check the Gram identity in every degree k < n, one block per degree.
@@ -337,17 +319,3 @@ def verify_perfect(n: int, d: int, pair_fn=None) -> PerfectReport:
         first.size, first.identity, first.failures,
         all(r.identity for r in degrees),
     )
-
-
-def describe_pair(g: Graph, f: Forest, d: int) -> dict:
-    res = pair_basis(g, f, d)
-    return {
-        "graph": render_graph(g),
-        "forest": render_forest(f),
-        "d": d,
-        "value": res.value,
-        "beta": None if res.beta_witness is None else [
-            {"edge": list(e), "vertex": {"tree": v[0], "path": list(v[1])}}
-            for e, v in res.beta_witness
-        ],
-    }

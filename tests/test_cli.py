@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shlex
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from confpair.cli import SIZE_BUDGET, _compact, main
+import confpair.cli
+from confpair.cli import SIZE_BUDGET, _compact, build_parser, main
 from confpair.graphs import parse_graph
 from confpair.lincombo import LinCombo
 from confpair.normalize import _long_support_size, _support_size
@@ -427,10 +429,10 @@ class Reached(Exception):
 
 @pytest.mark.parametrize("argv, verdict", [
     (FOUR_POINTS + ["--samples", "100000000"],
-     "100000000 samples at 3 eps need 1200000000 labels"),
+     "100000000 samples at 3 eps need 3600000000 coordinates"),
     (["duality", "--otree", SIX_LEAVES, "--trials", "1000000000"],
      "1000000000 trials need 6000000000 labels"),
-    (FOUR_POINTS + ["--samples", "20000"], None),  # 240,000 labels
+    (FOUR_POINTS + ["--samples", "20000"], None),  # 720,000 coordinates at d = 3
     (["duality", "--otree", SIX_LEAVES, "--trials", "2000"], None),  # 12,000 labels
 ], ids=["samples-1e8", "trials-1e9", "samples-20000", "trials-2000"])
 def test_sample_counts_are_checked_before_any_work(capsys, monkeypatch, argv, verdict):
@@ -539,10 +541,22 @@ def test_verify_prints_the_same_report_as_the_per_entry_oracle(capsys, monkeypat
 ], ids=["pair", "pois", "siop-edge", "siop-empty"])
 def test_a_huge_n_is_refused_before_its_labels_are_walked(argv):
     """A forest compares its label count with n before it builds 1..n, and
-    normalize checks each element's n before it reads the support.  The
-    child runs under a 1 GiB address-space cap, so a regression fails here
-    with a MemoryError instead of exhausting the machine; it prints how long
-    main took."""
+    normalize checks each element's n before it reads the support."""
+    assert_refused_under_a_memory_cap(argv)
+
+
+def test_a_huge_d_is_refused_before_geom_check_samples():
+    """8 samples at 3 eps of 2 points in R^400000000 are 1.92e10 coordinates
+    (the first sample alone would allocate 2.98 GiB)."""
+    assert_refused_under_a_memory_cap(["geom-check", "--forest", "[1,2]", "--graph", "1->2",
+                                       "--d", "400000000"])
+
+
+def assert_refused_under_a_memory_cap(argv):
+    """main(argv) exits 2 on one stderr line within 1 s.  The child runs
+    under a 1 GiB address-space cap, so a regression fails here with a
+    MemoryError instead of exhausting the machine; it prints how long main
+    took."""
     child = ("import resource, sys, time\n"
              "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
              "from confpair.cli import main\n"
@@ -565,3 +579,61 @@ def test_a_dead_graph_above_the_budget_is_refused(capsys):
     assert (code, out) == (2, "")
     assert err == (f"validation error: reading an element walks {SIZE_BUDGET + 1} labels, "
                    f"above the budget of {SIZE_BUDGET}\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_negative_seed_is_refused_where_the_sampler_needs_one(capsys, fmt):
+    assert run(capsys, ["geom-check", "--forest", "[1,2]", "--graph", "1->2",
+                        "--seed", "-1", "--format", fmt]) == (
+        2, "", "validation error: seed must be >= 0, got -1\n")
+    code, out, err = run(capsys, ["duality", "--otree", SIX_LEAVES, "--trials", "3",
+                                  "--seed", "-5", "--format", fmt])  # random.Random takes it
+    assert (code, err) == (0, "") and out
+
+
+def test_main_builds_one_parser_and_looks_its_command_up_per_call(capsys, monkeypatch):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    argv = ["pair", "--graph", "n=2; 1->2", "--forest", "[1,2]"]
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    build_parser.cache_clear()
+    try:
+        assert run(capsys, argv) == (0, "1\n", "")
+        once = len(built)
+        assert once == 11  # the top level and its ten subcommands
+        monkeypatch.setattr("confpair.cli.cmd_pair", lambda args: 7)
+        assert run(capsys, argv) == (7, "", "")
+        assert len(built) == once
+    finally:
+        build_parser.cache_clear()
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("built a format that is not printed")
+
+
+@pytest.mark.parametrize("argv", [
+    ["compose", "--outer", "[1,[2,3]]", "--index", "3", "--inner", "1 ; 2", "--d", "2"],
+    ["normalize", "--kind", "pois", "--input", "1 * [[3,1],2]\n2 * [1,2] ; 3"],
+    ["normalize", "--kind", "siop", "--input", "1 * n=3; 3->1, 2->1"],
+], ids=["compose", "pois", "siop"])
+def test_text_output_builds_no_json(capsys, monkeypatch, argv):
+    monkeypatch.setattr(confpair.cli, "forest_to_json", refuse)
+    monkeypatch.setattr(confpair.cli, "graph_to_json", refuse)
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "") and out.count(" * ") == len(out.splitlines()) > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["normalize", "--kind", "pois", "--input", "1 * [[3,1],2]\n2 * [1,2] ; 3"],
+    ["normalize", "--kind", "siop", "--input", "1 * n=3; 3->1, 2->1"],
+], ids=["pois", "siop"])
+def test_json_output_renders_no_text(capsys, monkeypatch, argv):
+    monkeypatch.setattr(confpair.cli, "render_forest", refuse)
+    monkeypatch.setattr(confpair.cli, "render_graph", refuse)
+    code, out, err = run(capsys, argv + ["--format", "json"])
+    assert (code, err) == (0, "") and json.loads(out)["terms"]

@@ -227,3 +227,9 @@ def test_limit_check_report_shape():
 def test_limit_check_refuses_a_sample_count_below_one(samples):
     with pytest.raises(ValidationError, match=f"samples must be >= 1, got {samples}"):
         limit_check(parse_forest("[1,2]"), parse_edges("1->2", 2), 3, [0.1], samples=samples)
+
+
+def test_limit_check_refuses_a_negative_seed():
+    """numpy's default_rng takes no negative seed; the refusal comes first."""
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        limit_check(parse_forest("[1,2]"), parse_edges("1->2", 2), 3, [0.1], seed=-1)

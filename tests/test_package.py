@@ -29,3 +29,16 @@ def test_normalize_reads_its_coefficients_without_the_pairing():
     path = next(p for p in SOURCES if p.name == "normalize.py")
     modules = list(imported_modules(path))
     assert modules and not any("pairing" in name.split(".") for name in modules), modules
+
+
+def test_only_the_cli_formats_output():
+    # the report serializers live in cli.py, next to the text lines they mirror
+    for path in SOURCES:
+        if path.name == "cli.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert not defined & {"to_json", "describe_pair"}, (path.name, defined)
+    pairing = next(p for p in SOURCES if p.name == "pairing.py")
+    names = [name.rsplit(".", 1)[-1] for name in imported_modules(pairing)]
+    assert names and not [name for name in names if name.startswith("render_")], names
