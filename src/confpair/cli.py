@@ -11,10 +11,9 @@ numpy's generator, which takes no negative --seed (exit 2).
 Sizes are checked against SIZE_BUDGET before any work starts; for
 geom-check the size is its coordinates, samples x eps values x n x d.
 
-The parser is built once per process, on the first call of main; each
-call looks its cmd_<name> up in this module at call time.  A command
-builds only the format --format names: this module alone turns results
-into text lines or JSON payloads.
+A command builds only the format --format names, and this module turns
+the library's results into text lines and JSON payloads; geom-check's
+JSON is the report geometry.limit_check returns.
 
 Exit codes: 0 success, 1 parse error, 2 validation error, 3 a structural
 verification failed.  Output is byte-deterministic for fixed (argv, seed).
@@ -23,7 +22,6 @@ verification failed.  Output is byte-deterministic for fixed (argv, seed).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -328,7 +326,9 @@ def cmd_geom_check(args):
     return 0
 
 
-def _add_common(p):
+def _add_common(p, fn):
+    """Give subparser p the global flags and fn, the cmd_<name> that main calls."""
+    p.set_defaults(fn=fn)
     p.add_argument("--d", type=int, default=3, help="ambient dimension, >= 2")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--cache-dir", default=None,
@@ -336,7 +336,6 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
 
 
-@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="confpair",
@@ -347,57 +346,57 @@ def build_parser():
     p = sub.add_parser("pair", help="configuration pairing of a graph and a forest")
     p.add_argument("--graph", required=True)
     p.add_argument("--forest", required=True)
-    _add_common(p)
+    _add_common(p, cmd_pair)
 
     p = sub.add_parser("normalize", help="rewrite onto the tall/long basis")
     p.add_argument("--kind", choices=("pois", "siop"), required=True)
     p.add_argument("--input", default=None,
                    help="lines 'coeff * element'; reads stdin when omitted")
     p.add_argument("--n", type=int, default=None)
-    _add_common(p)
+    _add_common(p, cmd_normalize)
 
     p = sub.add_parser("compose", help="operadic composition of forests")
     p.add_argument("--outer", required=True)
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--inner", required=True)
-    _add_common(p)
+    _add_common(p, cmd_compose)
 
     p = sub.add_parser("cooperad", help="graph-side structure map along an o-tree")
     p.add_argument("--graph", required=True)
     p.add_argument("--otree", required=True)
-    _add_common(p)
+    _add_common(p, cmd_cooperad)
 
     p = sub.add_parser("gram", help="pairing matrix of long graphs vs tall forests")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    _add_common(p)
+    _add_common(p, cmd_gram)
 
     p = sub.add_parser("ranks", help="Betti numbers (CSV degree,rank)")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
+    _add_common(p, cmd_ranks)
 
     p = sub.add_parser("enumerate", help="canonical basis elements")
     p.add_argument("--kind", choices=("tall-forests", "long-graphs"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    _add_common(p)
+    _add_common(p, cmd_enumerate)
 
     p = sub.add_parser("verify", help="perfect-pairing verification for one n")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
+    _add_common(p, cmd_verify)
 
     p = sub.add_parser("duality", help="operad/cooperad duality for a two-level o-tree")
     p.add_argument("--otree", required=True)
     p.add_argument("--trials", type=int, default=200,
                    help="sample size when the tree has more than 5 leaves")
-    _add_common(p)
+    _add_common(p, cmd_duality)
 
     p = sub.add_parser("geom-check", help="eps -> 0 limit deviations")
     p.add_argument("--forest", required=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--eps", default="0.1,0.01,0.001")
     p.add_argument("--samples", type=int, default=8)
-    _add_common(p)
+    _add_common(p, cmd_geom_check)
 
     return parser
 
@@ -407,7 +406,7 @@ def main(argv=None):
     try:
         if args.d < 2:
             raise ValidationError("d must be >= 2")
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        return args.fn(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,3 @@
-import argparse
 import json
 import os
 import shlex
@@ -11,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import confpair.cli
-from confpair.cli import SIZE_BUDGET, _compact, build_parser, main
+from confpair.cli import SIZE_BUDGET, _compact, main
 from confpair.graphs import parse_graph
 from confpair.lincombo import LinCombo
 from confpair.normalize import _long_support_size, _support_size
@@ -434,7 +433,11 @@ class Reached(Exception):
      "1000000000 trials need 6000000000 labels"),
     (FOUR_POINTS + ["--samples", "20000"], None),  # 720,000 coordinates at d = 3
     (["duality", "--otree", SIX_LEAVES, "--trials", "2000"], None),  # 12,000 labels
-], ids=["samples-1e8", "trials-1e9", "samples-20000", "trials-2000"])
+    (FOUR_POINTS + ["--samples", "27777"], None),  # 999,972 coordinates, the most at d = 3
+    (FOUR_POINTS + ["--samples", "27778"],  # 333,336 labels: admitted before d counted
+     "27778 samples at 3 eps need 1000008 coordinates"),
+], ids=["samples-1e8", "trials-1e9", "samples-20000", "trials-2000", "samples-27777",
+        "samples-27778"])
 def test_sample_counts_are_checked_before_any_work(capsys, monkeypatch, argv, verdict):
     """Refused: exit 2 within 1 s, before the sampler is called."""
     def reached(*args, **kwargs):
@@ -589,27 +592,6 @@ def test_a_negative_seed_is_refused_where_the_sampler_needs_one(capsys, fmt):
     code, out, err = run(capsys, ["duality", "--otree", SIX_LEAVES, "--trials", "3",
                                   "--seed", "-5", "--format", fmt])  # random.Random takes it
     assert (code, err) == (0, "") and out
-
-
-def test_main_builds_one_parser_and_looks_its_command_up_per_call(capsys, monkeypatch):
-    built, init = [], argparse.ArgumentParser.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    argv = ["pair", "--graph", "n=2; 1->2", "--forest", "[1,2]"]
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    build_parser.cache_clear()
-    try:
-        assert run(capsys, argv) == (0, "1\n", "")
-        once = len(built)
-        assert once == 11  # the top level and its ten subcommands
-        monkeypatch.setattr("confpair.cli.cmd_pair", lambda args: 7)
-        assert run(capsys, argv) == (7, "", "")
-        assert len(built) == once
-    finally:
-        build_parser.cache_clear()
 
 
 def refuse(*args, **kwargs):
