@@ -13,7 +13,7 @@ geom-check the size is its coordinates, samples x eps values x n x d.
 
 A command builds only the format --format names, and this module turns
 the library's results into text lines and JSON payloads; geom-check's
-JSON is the report geometry.limit_check returns.
+JSON is the report geometry.limit_check returns, with both inputs rendered.
 
 Exit codes: 0 success, 1 parse error, 2 validation error, 3 a structural
 verification failed.  Output is byte-deterministic for fixed (argv, seed).
@@ -322,7 +322,7 @@ def cmd_geom_check(args):
                          samples=args.samples)
     _emit(args, lambda: [f"eps {r['eps']}: max deviation {r['max_deviation']:.3e}"
                          for r in report["results"]],
-          lambda: report)
+          lambda: {**report, "forest": render_forest(f), "graph": render_graph(g)})
     return 0
 
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .graphs import Graph, render_graph
-from .trees import LEFT, Forest, nadir, render_forest
+from .graphs import Graph
+from .trees import LEFT, Forest, nadir
 
 UNIT_TOL = 1e-12
 
@@ -177,11 +177,4 @@ def limit_check(f: Forest, g: Graph, d: int, eps_list, seed: int = 0,
             "max_deviation": max((e["deviation"] for e in per_edge), default=0.0),
             "per_edge": per_edge,
         })
-    return {
-        "forest": render_forest(f),
-        "graph": render_graph(g),
-        "d": d,
-        "samples": samples,
-        "seed": seed,
-        "results": per_eps,
-    }
+    return {"d": d, "samples": samples, "seed": seed, "results": per_eps}

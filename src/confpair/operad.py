@@ -105,6 +105,8 @@ def cooperad_combo(x, tau: OTree, d: int) -> LinCombo:
 
 def two_level_sites(tau: OTree):
     """[(1-based root input, child arity)] for vertex children; validates shape."""
+    if not tau.node:
+        raise ValidationError("a root with no inputs has no composition meaning here")
     sites = []
     for pos, child in enumerate(tau.node):
         if child == LEAF:

@@ -16,7 +16,9 @@ sign-permutation torus map realized by the planetary systems.
 Gram matrices over the long-graph x tall-forest bases, the Poincare
 polynomial rank table, and the perfect-pairing verifier live here too.
 Gram entries come from one batch kernel, pair_matrix; pair_basis, one
-entry per call, stays as its oracle.
+entry per call, stays as its oracle.  A Gram block is the int8 array that
+fills, and verify_perfect reads its verdict off that array; only
+gram_matrix converts a block to rows of Python ints.
 """
 
 from __future__ import annotations
@@ -103,8 +105,8 @@ def _forest_tables(f: Forest):
 _CHUNK = 128  # forests per gather, so no temporary grows with the block
 
 
-def pair_matrix(graphs, forests, d: int) -> tuple:
-    """The pairing of every graph against every forest, as rows of ints:
+def pair_matrix(graphs, forests, d: int) -> np.ndarray:
+    """The pairing of every graph against every forest, as an int8 array:
     entry (r, c) is pair_basis(graphs[r], forests[c], d).value.
 
     Each forest is read into its nadir and side tables once; each chunk of
@@ -145,7 +147,7 @@ def pair_matrix(graphs, forests, d: int) -> tuple:
                         for b in range(a + 1, k):
                             odd ^= verts[:, :, a] > verts[:, :, b]
                 out[np.ix_(rows, chunk)] = (bijective * (1 - 2 * odd.astype(np.int8))).T
-    return tuple(tuple(row.tolist()) for row in out)
+    return out
 
 
 def pair(g, f, d: int) -> int:
@@ -184,19 +186,13 @@ class GramMatrix:
         return not self.failures()
 
     def failures(self):
-        return _delta_failures(self.entries)
+        return _identity_failures(np.array(self.entries, ndmin=2))
 
 
-def _delta_failures(rows):
-    """(row, col, value) for every entry of rows that differs from the identity.
-
-    A row equal to its unit tuple, one comparison in C, has none."""
-    failures = []
-    for r, row in enumerate(rows):
-        zeros = (0,) * len(row)
-        if row != zeros[:r] + (1,) + zeros[r + 1:]:
-            failures.extend((r, c, v) for c, v in enumerate(row) if v != (1 if r == c else 0))
-    return failures
+def _identity_failures(block):
+    """(row, col, value) of each entry off the identity, row-major, in Python ints."""
+    rows, cols = np.nonzero(block != np.eye(*block.shape, dtype=block.dtype))
+    return list(zip(rows.tolist(), cols.tolist(), block[rows, cols].tolist()))
 
 
 def parity_name(d: int) -> str:
@@ -209,18 +205,23 @@ def gram_matrix(n: int, k: int, d: int) -> GramMatrix:
     Rows and columns are both in canonical (ordered partition) order, so the
     Kronecker property of the pairing makes this the identity.
     """
-    return _gram(n, k, d, None)
+    graphs, forests, block = _gram_block(n, k, d, None)
+    entries = tuple(tuple(row.tolist()) for row in block)  # row by row keeps the peak low
+    return GramMatrix(n, k, parity_name(d), entries, graphs, forests)
 
 
-def _gram(n, k, d, pf):
-    """The Gram block in degree k: pair_matrix, or one pf call per entry."""
+def _gram_block(n, k, d, pf):
+    """The degree-k long graphs, tall forests and int8 Gram block: pair_matrix,
+    or one pf call per entry, where a value out of int8 range raises."""
     graphs = enumerate_long_graphs(n, k)
     forests = enumerate_tall_forests(n, k)
     if pf is None:
-        entries = pair_matrix(graphs, forests, d)
-    else:
-        entries = tuple(tuple(pf(g, f, d).value for f in forests) for g in graphs)
-    return GramMatrix(n, k, parity_name(d), entries, graphs, forests)
+        return graphs, forests, pair_matrix(graphs, forests, d)
+    block = np.zeros((len(graphs), len(forests)), dtype=np.int8)
+    for r, g in enumerate(graphs):
+        for c, f in enumerate(forests):
+            block[r, c] = pf(g, f, d).value
+    return graphs, forests, block
 
 
 # ---------------------------------------------------------------------------
@@ -304,15 +305,15 @@ def verify_perfect(n: int, d: int, pair_fn=None) -> PerfectReport:
     degrees = []
     first = DegreeReport(1, 0, True, [])  # n = 1 has no degree-1 block
     for k in range(n):
-        gm = _gram(n, k, d, pair_fn)
-        failures = gm.failures()
-        degrees.append(DegreeReport(k, gm.size, not failures, failures))
+        graphs, _, block = _gram_block(n, k, d, pair_fn)
+        failures = _identity_failures(block)
+        degrees.append(DegreeReport(k, len(block), not failures, failures))
         if k == 1:
             # row r and column r come from one ordered partition, so the
             # edge order of the rows re-indexes both
-            lex = sorted(range(gm.size), key=lambda r: gm.graphs[r].edges)
+            lex = sorted(range(len(graphs)), key=lambda r: graphs[r].edges)
             rank = {r: p for p, r in enumerate(lex)}
-            first = DegreeReport(1, gm.size, not failures,
+            first = DegreeReport(1, len(graphs), not failures,
                                  sorted((rank[r], rank[c], v) for r, c, v in failures))
     return PerfectReport(
         n, parity_name(d), degrees,

@@ -229,10 +229,12 @@ def vertices_before_leaf(f: Forest, label: int) -> int:
     In-order alternates leaf, vertex, leaf, so the leaf at position p of
     its tree's leaf_seq has p of that tree's vertices before it.
     """
-    if label not in f.leaf_info:
-        raise ValidationError(f"label {label} out of range 1..{f.n}")
-    idx = f.leaf_info[label][0]
-    return sum(t.size for t in f.trees[:idx]) + f.trees[idx].leaf_seq.index(label)
+    before = 0
+    for t in f.trees:
+        if label in t.labels:
+            return before + t.leaf_seq.index(label)
+        before += t.size
+    raise ValidationError(f"label {label} out of range 1..{f.n}")
 
 
 def nadir(f: Forest, i: int, j: int):

@@ -141,6 +141,24 @@ def test_geom_check(capsys):
     assert payload["results"][-1]["max_deviation"] < 1e-2
 
 
+def test_geom_check_json_renders_both_inputs(capsys):
+    code, out, _ = run(capsys, ["geom-check", "--forest", "[1,2] ; [3]", "--graph", "1->3",
+                                "--d", "2", "--eps", "0.1", "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["forest"], payload["graph"]) == ("[1,2] ; 3", "n=3; 1->3")
+    assert out == json.dumps(payload, sort_keys=True) + "\n"
+
+
+def test_an_otree_root_with_no_inputs(capsys):
+    """duality refuses it, where it once checked 0 cases and passed; the
+    cooperad split of the empty graph along it stays."""
+    assert run(capsys, ["duality", "--otree", "()"]) == (
+        2, "", "validation error: a root with no inputs has no composition meaning here\n")
+    assert run(capsys, ["cooperad", "--otree", "()", "--graph", "n=0"]) == (
+        0, "sign 1\nvertex []: n=0\n", "")
+
+
 def test_duality_command(capsys):
     code, out, _ = run(capsys, ["duality", "--otree", "(*,(*,*))", "--d", "2",
                                 "--format", "json"])

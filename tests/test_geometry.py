@@ -218,7 +218,7 @@ def test_pairing_recovered_from_geometric_limit():
 
 def test_limit_check_report_shape():
     rep = limit_check(parse_forest("[1,2] ; [3]"), parse_edges("1->3", 3), 2, [0.1])
-    assert rep["forest"] == "[1,2] ; 3"
+    assert sorted(rep) == ["d", "results", "samples", "seed"]  # cli.py renders the inputs
     assert rep["d"] == 2
     assert rep["results"][0]["per_edge"][0]["edge"] == [1, 3]
 

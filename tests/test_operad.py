@@ -162,6 +162,15 @@ def test_two_level_sites():
         two_level_sites(parse_otree("((*,(*,*)),*)"))
 
 
+def test_a_root_with_no_inputs_is_refused_for_duality():
+    tau = parse_otree("()")
+    for d in (2, 3):
+        for check in (check_duality, sample_duality):
+            with pytest.raises(ValidationError, match="root with no inputs"):
+                check(tau, d)
+        assert cooperad(Graph(0, ()), tau, d).factors == (Graph(0, ()),)
+
+
 def test_duality_corolla_reduces_to_plain_pairing():
     for n in (2, 3):
         for d in (2, 3):

@@ -39,6 +39,24 @@ def test_only_the_cli_formats_output():
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
         assert not defined & {"to_json", "describe_pair"}, (path.name, defined)
-    pairing = next(p for p in SOURCES if p.name == "pairing.py")
-    names = [name.rsplit(".", 1)[-1] for name in imported_modules(pairing)]
-    assert names and not [name for name in names if name.startswith("render_")], names
+    for path in (p for p in SOURCES if p.name in ("geometry.py", "pairing.py")):
+        names = [name.rsplit(".", 1)[-1] for name in imported_modules(path)]
+        assert names and not [name for name in names if name.startswith("render_")], names
+
+
+def lazy_caches(path):
+    """Class.method for every cached_property defined in path."""
+    for scope in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        body = getattr(scope, "body", None)  # a statement list, or one expression
+        for node in body if isinstance(body, list) else []:
+            if isinstance(node, ast.FunctionDef) and any(
+                    getattr(dec, "id", getattr(dec, "attr", None)) == "cached_property"
+                    for dec in node.decorator_list):
+                yield f"{getattr(scope, 'name', path.stem)}.{node.name}"
+
+
+def test_the_lazy_caches_are_the_five_documented_ones():
+    # each needs a walk of its own; a value the constructor's walk reads is stored instead
+    found = sorted(name for path in SOURCES for name in lazy_caches(path))
+    assert found == ["Forest.leaf_info", "Forest.size", "Forest.vertex_index",
+                     "Graph.components", "Tree.leaf_paths"]

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +8,9 @@ from confpair.errors import ValidationError
 from confpair.graphs import Graph, enumerate_long_graphs, parse_graph
 from confpair import pairing
 from confpair.lincombo import LinCombo
-from confpair.pairing import (GramMatrix, PairingResult, gram_matrix, pair, pair_basis,
-                              pair_matrix, poincare_coefficients, rank_table, verify_perfect)
+from confpair.cli import main
+from confpair.pairing import (PairingResult, gram_matrix, pair, pair_basis, pair_matrix,
+                              poincare_coefficients, rank_table, verify_perfect)
 from confpair.trees import Tree, enumerate_tall_forests, parse_forest
 
 from conftest import basis_count_oracle
@@ -157,11 +159,12 @@ def test_verify_perfect_pair_fn_path_matches_the_gram_path(n, d):
 
 
 def test_verify_perfect_reads_each_degree_off_one_gram_matrix(monkeypatch):
-    """Both paths take each degree's verdict from GramMatrix.failures, and the
+    """Both paths take each degree's verdict from _identity_failures, and the
     default path looks pair_matrix up when it is called."""
     def flip_two_edge_rows(graphs, forests, d):
-        return tuple(tuple(-v for v in row) if len(g.edges) == 2 else row
-                     for g, row in zip(graphs, pair_matrix(graphs, forests, d)))
+        block = pair_matrix(graphs, forests, d)
+        block[[len(g.edges) == 2 for g in graphs]] *= -1
+        return block
 
     def flip_two_edges(g, f, d):
         res = pair_basis(g, f, d)
@@ -170,7 +173,7 @@ def test_verify_perfect_reads_each_degree_off_one_gram_matrix(monkeypatch):
     monkeypatch.setattr("confpair.pairing.pair_matrix", flip_two_edge_rows)
     assert not verify_perfect(3, 2).ok
     assert verify_perfect(3, 2, pair_fn=pair_basis).ok
-    monkeypatch.setattr(GramMatrix, "failures", lambda self: [])
+    monkeypatch.setattr(pairing, "_identity_failures", lambda block: [])
     assert verify_perfect(3, 2).ok
     assert verify_perfect(3, 2, pair_fn=flip_two_edges).ok
 
@@ -208,6 +211,90 @@ def test_verify_perfect_builds_one_block_per_degree(monkeypatch):
             rep = verify_perfect(n, d)
             assert rep.ok and len(calls) == n
             assert rep.first_degree_size == n * (n - 1) // 2
+
+
+# (degree, row, col, value): diagonal entries flipped or zeroed and
+# off-diagonal ones set, in several degrees; a spot outside its block is skipped
+SPOTS = [(1, 0, 0, -1), (2, 1, 1, 0), (2, 0, 2, -1), (3, 2, 0, 1), (3, 3, 3, -1), (4, 5, 5, 0)]
+
+
+def corrupted_entries(n):
+    """(graph, forest) -> value for every spot inside a Gram block of n."""
+    out = {}
+    for k, r, c, v in SPOTS:
+        if k < n:
+            graphs, forests = enumerate_long_graphs(n, k), enumerate_tall_forests(n, k)
+            if r < len(graphs) and c < len(forests):
+                out[graphs[r], forests[c]] = v
+    return out
+
+
+def corrupt_the_kernel(monkeypatch, spots):
+    """pair_matrix with each spot's entry replaced, wherever the spot's pair lands."""
+    def corrupted(graphs, forests, d):
+        block = pair_matrix(graphs, forests, d)
+        for (g, f), v in spots.items():
+            if g in graphs and f in forests:
+                block[graphs.index(g), forests.index(f)] = v
+        return block
+    monkeypatch.setattr(pairing, "pair_matrix", corrupted)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_a_corrupted_kernel_fails_as_the_same_corruption_per_entry_does(monkeypatch, n):
+    spots = corrupted_entries(n)
+
+    def corrupted_entry(g, f, d):
+        return PairingResult(spots.get((g, f), pair_basis(g, f, d).value))
+
+    for d in (2, 3):
+        by_entry = verify_perfect(n, d, pair_fn=corrupted_entry)
+        with monkeypatch.context() as m:
+            corrupt_the_kernel(m, spots)
+            by_kernel = verify_perfect(n, d)
+            grams = [gram_matrix(n, k, d).failures() for k in range(n)]
+        assert by_kernel.degrees == by_entry.degrees
+        assert (by_kernel.first_degree_size, by_kernel.first_degree_identity,
+                by_kernel.first_degree_failures) == (
+            by_entry.first_degree_size, by_entry.first_degree_identity,
+            by_entry.first_degree_failures)
+        assert grams == [r.failures for r in by_kernel.degrees]
+        assert sum(len(f) for f in grams) == len(spots) and by_kernel.ok == (not spots)
+        triples = [t for r in by_kernel.degrees for t in r.failures]
+        assert all(type(x) is int for t in triples + by_kernel.first_degree_failures for x in t)
+
+
+def test_verify_json_prints_the_failures_of_a_corrupted_kernel(capsys, monkeypatch):
+    corrupt_the_kernel(monkeypatch, corrupted_entries(5))
+    report = verify_perfect(5, 2)
+    assert main(["verify", "--n", "5", "--d", "2", "--format", "json"]) == 3
+    out = capsys.readouterr()
+    payload = json.loads(out.out)
+    assert payload["ok"] is False and "verification failed" in out.err
+    assert [r["failures"] for r in payload["degrees"]] == [
+        [list(t) for t in r.failures] for r in report.degrees]
+    assert payload["first_degree"]["failures"] == list(map(list, report.first_degree_failures))
+    assert [bool(r["failures"]) for r in payload["degrees"]] == [False, True, True, True, True]
+
+
+def test_verify_perfect_builds_no_gram_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("verify_perfect built a GramMatrix")
+
+    monkeypatch.setattr(pairing, "GramMatrix", refuse)
+    for n in range(1, 7):
+        for d in (2, 3):
+            assert verify_perfect(n, d).ok
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_gram_matrix_entries_are_rows_of_python_ints(n):
+    for k in range(n):
+        for d in (2, 3):
+            gm = gram_matrix(n, k, d)
+            assert type(gm.entries) is tuple and all(type(row) is tuple for row in gm.entries)
+            assert all(type(v) is int for row in gm.entries for v in row)
+            assert list(map(list, gm.entries)) == pair_matrix(gm.graphs, gm.forests, d).tolist()
 
 
 def test_first_degree_bases_count():
@@ -285,8 +372,8 @@ def batches(draw):
 @given(batches(), st.integers(2, 5))
 def test_pair_matrix_equals_pair_basis_on_random_batches(batch, d):
     graphs, forests, matched = batch
-    rows = pair_matrix(graphs, forests, d)
-    assert rows == per_entry(graphs, forests, d)
+    rows = pair_matrix(graphs, forests, d).tolist()
+    assert rows == list(map(list, per_entry(graphs, forests, d)))
     for f, g in zip(forests, matched):
         assert rows[graphs.index(g)][forests.index(f)] in (-1, 1)
 
@@ -309,9 +396,9 @@ def test_pair_matrix_edge_cases():
     forests = [parse_forest("[1] ; [2] ; [3]"), parse_forest("[1,2] ; [3]")]
     empty, edge = Graph(3, ()), Graph(3, ((2, 1),))
     for d in (2, 3):
-        assert pair_matrix([empty, edge], forests, d) == ((1, 0), (0, -1 if d % 2 else 1))
-        assert pair_matrix([], forests, d) == ()
-        assert pair_matrix([empty, edge], [], d) == ((), ())
-        assert pair_matrix([], [], d) == ()
+        assert pair_matrix([empty, edge], forests, d).tolist() == [[1, 0], [0, -1 if d % 2 else 1]]
+        assert pair_matrix([], forests, d).tolist() == []
+        assert pair_matrix([empty, edge], [], d).tolist() == [[], []]
+        assert pair_matrix([], [], d).tolist() == []
     with pytest.raises(ValidationError):
         pair_matrix([Graph(2, ())], forests, 2)
