@@ -22,6 +22,7 @@ verification failed.  Output is byte-deterministic for fixed (argv, seed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -31,11 +32,13 @@ from .geometry import limit_check
 from .graphs import enumerate_long_graphs, graph_to_json, parse_edges, parse_graph, render_graph
 from .lincombo import LinCombo
 from .normalize import _long_support_size, _support_size, normalize_pois, normalize_siop
-from .operad import check_duality, cooperad, sample_duality, substitute_basis
+from .operad import (check_duality, cooperad, leibniz_terms, sample_duality, tall_support,
+                     tall_terms)
 from .otrees import parse_otree
-from .pairing import gram_matrix, pair_basis, poincare_coefficients, rank_table, verify_perfect
-from .trees import (MAX_NESTING, check_degree, enumerate_tall_forests, forest_to_json,
-                    parse_forest, render_forest)
+from .pairing import (_gram_block, _identity_failures, pair_basis, parity_name,
+                      poincare_coefficients, rank_table, verify_perfect)
+from .trees import (MAX_NESTING, Forest, check_degree, enumerate_tall_forests, forest_to_json,
+                    parse_forest, render_forest, tree_node_to_json)
 
 SIZE_BUDGET = 1_000_000  # most labels, coordinates, Gram entries or rank digits to build
 
@@ -108,10 +111,35 @@ def _combo_lines(combo, render_element):
     return [f"{c} * {text}" for text, c in rendered]
 
 
+def _node_code(node):
+    """A tree node's JSON text with its fixed parts dropped, ordered as that
+    text: a leaf `a<v>}` before a pair `f<left><right>` ('a' < 'f' as in
+    `{"leaf"` and `{"left"`), and no code is a prefix of another."""
+    if isinstance(node, int):
+        return f"a{node}}}"
+    return f"f{_node_code(node[0])}{_node_code(node[1])}"
+
+
+def _json_order(e, node_code=_node_code):
+    """A string that sorts forests and graphs as json.dumps(element, sort_keys=True)
+    sorts their JSON elements: each decisive character of that text is kept
+    (the ones after a number, `,` or `]` after a list item, the `]` of an
+    empty list), and a graph's `{"e` sorts before a forest's `{"k`."""
+    if isinstance(e, Forest):
+        return f"k{e.n}," + ",".join(node_code(t.node) for t in e.trees) + "]"
+    return "e" + ",".join(f"[{i},{j}]" for i, j in e.edges) + f"]{e.n}}}"
+
+
+def _forest_json():
+    """forest_to_json, with the JSON of each distinct tree built once: the
+    forests of a tall expansion share their trees."""
+    return functools.partial(forest_to_json, node_json=functools.cache(tree_node_to_json))
+
+
 def _combo_json(combo, n, element_json):
-    rendered = sorted(((element_json(e), c) for e, c in combo),
-                      key=lambda item: json.dumps(item[0], sort_keys=True))
-    return {"n": n, "terms": [{"coeff": c, "element": e} for e, c in rendered]}
+    node_code = functools.cache(_node_code)  # the trees of a tall expansion repeat
+    ordered = sorted(combo, key=lambda item: _json_order(item[0], node_code))
+    return {"n": n, "terms": [{"coeff": c, "element": element_json(e)} for e, c in ordered]}
 
 
 def _emit(args, text_lines, payload):
@@ -147,7 +175,7 @@ def cmd_pair(args):
 
 def cmd_normalize(args):
     parse, normalize, render, to_json, support, basis = {
-        "pois": (parse_forest, normalize_pois, render_forest, forest_to_json,
+        "pois": (parse_forest, normalize_pois, render_forest, _forest_json(),
                  _support_size, "tall"),
         "siop": (parse_graph, normalize_siop, render_graph, graph_to_json,
                  _long_support_size, "long"),
@@ -169,7 +197,7 @@ def cmd_compose(args):
     outer = parse_forest(args.outer)
     inner = parse_forest(args.inner)
     n = outer.n + inner.n - 1
-    # leaf i sits under h brackets (none for a bad index, which substitute_basis refuses)
+    # leaf i sits under h brackets (none for a bad index, which leibniz_terms refuses)
     h = len(outer.leaf_info.get(args.index, (0, ()))[1])
     depth = h + max(len(path) for _, path in inner.leaf_info.values())
     if depth > MAX_NESTING:
@@ -178,12 +206,12 @@ def cmd_compose(args):
     forests = len(inner.trees) ** h  # r inner trees under h brackets expand to r^h forests
     _refuse_above_budget(forests * n,
                          f"the Leibniz expansion has {_compact(forests)} forests of {n} labels")
-    reduced = substitute_basis(outer, args.index, inner, args.d)
-    labels = sum(_support_size(f) for f, _ in reduced) * n
+    terms = leibniz_terms(outer, args.index, inner, args.d)
+    labels = tall_support(terms) * n
     _refuse_above_budget(labels, f"the tall expansion needs {_compact(labels)} labels")
-    out = normalize_pois(reduced, args.d)
+    out = tall_terms(terms, n, args.d)
     _emit(args, lambda: _combo_lines(out, render_forest),
-          lambda: _combo_json(out, n, forest_to_json))
+          lambda: _combo_json(out, n, _forest_json()))
     return 0
 
 
@@ -202,13 +230,13 @@ def cmd_cooperad(args):
 
 def cmd_gram(args):
     _check_budget(args.n, args.k, lambda size, n: size ** 2, "entries")
-    gm = gram_matrix(args.n, args.k, args.d)
-    identity = not gm.failures()
+    _, _, block = _gram_block(args.n, args.k, args.d, None)
+    identity = not _identity_failures(block)
     _emit(args,
-          lambda: [" ".join(f"{v:2d}" for v in row) for row in gm.entries]
+          lambda: [" ".join(f"{v:2d}" for v in row.tolist()) for row in block]
           + [f"identity: {identity}"],
-          lambda: {"n": gm.n, "k": gm.k, "parity": gm.parity, "identity": identity,
-                   "entries": [list(r) for r in gm.entries]})
+          lambda: {"n": args.n, "k": args.k, "parity": parity_name(args.d), "identity": identity,
+                   "entries": block.tolist()})
     if not identity:
         raise VerificationFailure(f"Gram matrix n={args.n} k={args.k} is not the identity")
     return 0

@@ -33,7 +33,7 @@ import math
 from .errors import ValidationError
 from .graphs import Graph, graph_of_ordered_partition
 from .lincombo import LinCombo
-from .trees import (Forest, OrderedPartition, Tree, inversion_parity, sort_trees_with_parity,
+from .trees import (Forest, OrderedPartition, inversion_parity, sort_trees_with_parity,
                     tree_from_leaf_order)
 
 
@@ -60,10 +60,11 @@ def reversal_sign(flips: int, perm_parity: int, d: int) -> int:
     return -1 if (flips * d + perm_parity * (d - 1)) % 2 else 1
 
 
-def _tall_chains(t: Tree, d: int):
+def _tall_chains(t, d: int):
     """(P, <G_P, t>) for the leaf orders P of t, led by its minimum, with
     <G_P, t> != 0; the sign is the product of anti_sign over the vertices
-    whose right side P enters first, forced or chosen.
+    whose right side P enters first, forced or chosen.  t is a Tree or any
+    tree node with its min_label (operad's composition terms).
 
     That pairing is nonzero exactly when consecutive leaves of P have
     pairwise distinct nadirs.  An edge lands inside a subtree exactly when

@@ -1,6 +1,6 @@
 """Operadic composition on forests and the dual structure map on graphs.
 
-compose substitutes the inner expression (the product of its trees' nodes,
+compose substitutes the inner forest (the product u_1...u_r of its trees,
 relabelled to x_i..x_{i+m-1}) for x_i in the outer one, whose later
 variables shift up by m-1, Leibniz-reduces, and lands in the tall basis.
 Substitution alone is not well-defined on the quotient when d is even: a
@@ -14,6 +14,27 @@ composition therefore carries the Koszul factor
 is trivial for odd d, and with it the nested and disjoint composition
 axioms hold (disjoint sites commute up to (-1)^((d-1)|x||y|)).
 
+The Leibniz reduction is one closed-form sum (leibniz_terms), read on tree
+nodes from the bottom bracket over leaf i up to its root.  Below a bracket
+with sibling S the leaf side is a product W = w_1...w_r (w_a is u_a with
+the siblings that picked it bracketed on), with |W| = |inner| plus |S|+1
+per lower bracket.  [S, -] is a derivation of degree |S| + d-1, so
+
+    [S, w_1...w_r]  =  sum_a  eps((|S|+1) |w_<a|)  w_<a [S, w_a] w_>a,
+
+eps(e) = (-1)^(e(d-1)).  With the leaf on the left, [W, S] = anti_sign(|W|,
+|S|) [S, W] for r > 1 first (for r = 1 the tree (w_1, S) stays as it is).
+So each of the h brackets picks one factor, and a term's sign is the
+Koszul factor times, per bracket, eps((|S|+1) |factors before the pick|)
+and that anti_sign, times eps of the parity that sorts the trees by
+minimum label.  The r^h terms are distinct forests (each puts the
+siblings' labels with other inner labels), so none cancel, and
+tall_support counts their tall expansions without listing them.  The
+terms stay tree nodes; tall_terms expands each node's chains
+(normalize._tall_chains) once and builds one Forest per output term.
+tests/oracles.py keeps substitution, reduce_expr and normalize_pois as the
+reference.
+
 The graph-side structure map for an o-tree splits a graph into one factor
 per internal vertex: each edge j->k lands at the nadir of the leaf paths,
 as the edge between the branches carrying j and k; factor edge lists keep
@@ -25,44 +46,152 @@ first) to the input edge order.  Duality then holds in the form
       =  <G, compose_along(tau; F_0, F_*)>
 
 with the composed side assembled by iterated composition, rightmost site
-first; check_duality verifies this case by case, splitting each graph once
-and reading both sides through pairing.pair_basis and pairing.pair.
+first.  check_duality verifies this for every case, splitting each graph
+once, and reads both sides off pairing.pair_matrix blocks over what the
+cases use: the left side as a product of factor entries, the right side
+as the block of a degree times the composed coefficients.  Block entries
+are -1, 0 or 1, so a right side is at most the sum of |coeff| over its
+composed support: the product is taken in int64 while that sum is below
+2^63, and in Python ints above.  tests/oracles.py keeps the case-by-case
+route through pairing.pair_basis and pairing.pair as the reference.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
-from .brackets import forest_to_expr, map_vars, reduce_expr
+import numpy as np
+
 from .errors import ValidationError
 from .graphs import Graph, enumerate_long_graphs
 from .lincombo import LinCombo
-from .normalize import eps, normalize_pois
+from .normalize import _tall_chains, anti_sign, eps
 from .otrees import LEAF, OTree, leaf_nadir, may_tree, render_otree
-from .pairing import pair, pair_basis
-from .trees import Forest, enumerate_tall_forests, inversion_parity, vertices_before_leaf
+from .pairing import pair_matrix
+from .trees import (Forest, enumerate_tall_forests, inversion_parity, sort_trees_with_parity,
+                    tree_from_leaf_order, vertices_before_leaf)
 
 
-def substitute_basis(f1: Forest, i: int, f2: Forest, d: int) -> LinCombo:
-    """One compose term before tall normalization: substitute, Leibniz-reduce, sign."""
+class _Block:
+    """A tree node with what the closed-form walk reads off it; it has the
+    min_label and size that sort_trees_with_parity and _tall_chains read."""
+
+    __slots__ = ("node", "min_label", "size", "depth")
+
+    def __init__(self, node, min_label: int, size: int, depth: int):
+        self.node = node
+        self.min_label = min_label
+        self.size = size
+        self.depth = depth  # of the minimum leaf: 2^(size - depth) tall chains
+
+
+def _join(a: _Block, b: _Block) -> _Block:
+    """The bracket [a, b]."""
+    low = a if a.min_label < b.min_label else b
+    return _Block((a.node, b.node), low.min_label, a.size + b.size + 1, low.depth + 1)
+
+
+def _block(node, relabel) -> _Block:
+    """node with each label v replaced by relabel(v), read in one walk."""
+    if isinstance(node, int):
+        v = relabel(node)
+        return _Block(v, v, 0, 0)
+    return _join(_block(node[0], relabel), _block(node[1], relabel))
+
+
+def _root_path(node, i):
+    """[(sibling, leaf i on the left?)] for the brackets over leaf i, bottom
+    up, or None when i is not below node."""
+    if isinstance(node, int):
+        return [] if node == i else None
+    for side in (0, 1):
+        below = _root_path(node[side], i)
+        if below is not None:
+            below.append((node[1 - side], side == 0))
+            return below
+    return None
+
+
+def leibniz_terms(f1: Forest, i: int, f2: Forest, d: int) -> list:
+    """The Leibniz expansion of f2 substituted at leaf i of f1, in closed form.
+
+    A list of (coeff, blocks): blocks are the trees of one term sorted by
+    minimum label, the sort parity and the Koszul factor in coeff.  Each
+    bracket over the leaf picks one of the r factors (see the module
+    docstring), so there are r^h terms for h brackets, and no Forest is built.
+    """
     n, m = f1.n, f2.n
     if not 1 <= i <= n:
         raise ValidationError(f"composition index {i} out of range 1..{n}")
-    inner = map_vars(forest_to_expr(f2), lambda v: v + i - 1)
-    combined = map_vars(forest_to_expr(f1),
-                        lambda v: inner if v == i else v + m - 1 if v > i else v)
-    sign = eps(f2.size * vertices_before_leaf(f1, i), d)
-    return sign * reduce_expr(combined, d)
+    if not f2.trees:
+        raise ValidationError("an empty forest has no bracket expression")
+    factors = tuple(_block(t.node, lambda v: v + i - 1) for t in f2.trees)
+    before, after, path = [], [], None
+
+    def shift(v):
+        return v + m - 1 if v > i else v
+    for t in f1.trees:
+        if path is None and i in t.labels:
+            path = _root_path(t.node, i)
+        else:
+            (before if path is None else after).append(_block(t.node, shift))
+    terms = [(eps(f2.size * vertices_before_leaf(f1, i), d), factors)]
+    r, total = len(factors), f2.size  # total: vertices of the r factors
+    for node, leaf_left in path:
+        sib = _block(node, shift)
+        swap = anti_sign(total, sib.size, d) if leaf_left and r > 1 else 1
+        grown = []
+        for c, fs in terms:
+            picked = 0  # vertices of the factors before the pick
+            for a, u in enumerate(fs):
+                new = _join(u, sib) if leaf_left and r == 1 else _join(sib, u)
+                grown.append((c * swap * eps((sib.size + 1) * picked, d),
+                              fs[:a] + (new,) + fs[a + 1:]))
+                picked += u.size
+        terms = grown
+        total += sib.size + 1
+    out = []
+    for c, fs in terms:
+        blocks, parity = sort_trees_with_parity((*before, *fs, *after))
+        out.append((c * eps(parity, d), blocks))
+    return out
+
+
+def tall_support(terms) -> int:
+    """How many tall forests tall_terms lists for the terms, without listing
+    them: 2^(size - depth of the minimum) per block, multiplied."""
+    return sum(2 ** sum(b.size - b.depth for b in blocks) for _, blocks in terms)
+
+
+def tall_terms(terms, n: int, d: int) -> LinCombo:
+    """The tall normalization of leibniz_terms: each block's chains
+    (normalize._tall_chains) are listed once per distinct node, and each
+    term of their product is one Forest."""
+    chains = {}
+
+    def listed(block):
+        got = chains.get(block.node)
+        if got is None:
+            got = chains[block.node] = [(tree_from_leaf_order(order), sign)
+                                        for order, sign in _tall_chains(block, d)]
+        return got
+    out = []
+    for c, blocks in terms:
+        for picks in itertools.product(*map(listed, blocks)):
+            trees, signs = zip(*picks)
+            out.append((Forest(trees, n), c * math.prod(signs)))
+    return LinCombo(out)
 
 
 def compose(b1, i: int, b2, d: int) -> LinCombo:
     """Bilinear composition; slots accept a Forest or a LinCombo of forests."""
     left, right = LinCombo.of(b1), LinCombo.of(b2)
     return LinCombo([(f, c1 * c2 * c) for f1, c1 in left for f2, c2 in right
-                     for f, c in normalize_pois(substitute_basis(f1, i, f2, d), d)])
+                     for f, c in tall_terms(leibniz_terms(f1, i, f2, d), f1.n + f2.n - 1, d)])
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +248,9 @@ def two_level_sites(tau: OTree):
     return sites
 
 
-def compose_along(tau: OTree, f0: Forest, inner: dict, d: int) -> LinCombo:
-    """Iterated composition over a two-level tree, rightmost site first."""
+def compose_along(tau: OTree, f0: Forest, inner: dict, d: int, step=compose) -> LinCombo:
+    """Iterated composition over a two-level tree, rightmost site first; each
+    site is one step(result, pos, inner forest, d)."""
     sites = two_level_sites(tau)
     if f0.n != len(tau.node):
         raise ValidationError("outer arity mismatch")
@@ -129,7 +259,7 @@ def compose_along(tau: OTree, f0: Forest, inner: dict, d: int) -> LinCombo:
         f_inner = inner[pos]
         if f_inner.n != arity:
             raise ValidationError(f"inner arity mismatch at site {pos}")
-        result = compose(result, pos, f_inner, d)
+        result = step(result, pos, f_inner, d)
     return result
 
 
@@ -163,33 +293,65 @@ def _degree(f0, inner):
     return f0.size + sum(f.size for f in inner.values())
 
 
+def _positions(items):
+    """The distinct items in first-seen order, and each item's index among them."""
+    index = {}
+    return index, np.array([index.setdefault(x, len(index)) for x in items], dtype=np.intp)
+
+
 def _check_cases(tau: OTree, d: int, cases) -> DualityReport:
     """Compare the two routes on each (f0, inner, graphs) case group.
 
-    One composition serves every graph of its group; each graph is a case,
-    split once per call when a case first needs it.
+    Every case is composed first, and each graph split once.  Both sides are
+    then read off pair_matrix blocks over what the cases use: per vertex of
+    tau, its factor graphs against the forests the cases put there; and per
+    degree, the graphs against the tall forests of the composed supports.
+    A case's graphs are checked in order, and so are the cases.
     """
-    split = functools.cache(lambda g: cooperad(g, tau, d))
-    checked = 0
+    basis = functools.cache(lambda f1, i, f2: compose(f1, i, f2, d))
+
+    def step(b1, i, f2, d):  # compose, with each basis composition made once
+        return LinCombo([(f, c1 * c) for f1, c1 in b1 for f, c in basis(f1, i, f2)])
+    cases = [(f0, inner, graphs, compose_along(tau, f0, inner, d, step))
+             for f0, inner, graphs in cases]
+    # the checks, one per (case, graph), in order: the case's and the graph's index
+    case_at = np.repeat(np.arange(len(cases)), [len(graphs) for _, _, graphs, _ in cases])
+    if not len(case_at):
+        return DualityReport(render_otree(tau), d, 0, [])
+    graphs, graph_at = _positions(g for _, _, graphs, _ in cases for g in graphs)
+    graphs = list(graphs)
+    splits = [cooperad(g, tau, d) for g in graphs]
+    degree = [f0.size + sum(f.size for f in inner.values()) for f0, inner, _, _ in cases]
+    koszul = np.array([eps(f0.size * (k - f0.size), d) for (f0, *_), k in zip(cases, degree)])
+    lhs = np.array([res.sign for res in splits])[graph_at] * koszul[case_at]
+    # two-level: cooperad's vertices are the root, then the sites left to right
+    for v in range(1 + len(cases[0][1])):
+        factors, factor_at = _positions(res.factors[v] for res in splits)
+        bases, basis_at = _positions((f0, *inner.values())[v] for f0, inner, _, _ in cases)
+        block = pair_matrix(list(factors), list(bases), d)
+        lhs *= block[factor_at[graph_at], basis_at[case_at]]
+    # a right-hand side is at most the sum of |coeff| over its composed
+    # support, so int64 is exact while that sum stays below 2^63
+    bound = max(sum(abs(c) for _, c in composed) for *_, composed in cases)
+    rhs = np.zeros(len(case_at), dtype=np.int64 if bound < 2 ** 63 else object)
+    degree_at = np.array(degree)[case_at]
+    for k in set(degree):
+        at = np.flatnonzero(degree_at == k)
+        rows, row_at = _positions(graph_at[at].tolist())
+        used, case_row = _positions(case_at[at].tolist())
+        support, _ = _positions(f for c in used for f, _ in cases[c][3])
+        coeffs = np.zeros((len(used), len(support)), dtype=rhs.dtype)
+        for row, c in zip(coeffs, used):
+            for f, coeff in cases[c][3]:
+                row[support[f]] = coeff
+        block = pair_matrix([graphs[r] for r in rows], list(support), d)
+        rhs[at] = (coeffs @ block.T.astype(rhs.dtype))[case_row, row_at]
     failures = []
-    for f0, inner, graphs in cases:
-        composed = compose_along(tau, f0, inner, d)
-        koszul = eps(f0.size * sum(f.size for f in inner.values()), d)
-        # two-level: cooperad's vertices are the root, then the sites left to right
-        bases = (f0, *inner.values())
-        for g in graphs:
-            res = split(g)
-            lhs = res.sign * koszul
-            for factor, fv in zip(res.factors, bases):
-                if lhs == 0:
-                    break
-                lhs *= pair_basis(factor, fv, d).value
-            rhs = pair(g, composed, d)
-            checked += 1
-            if lhs != rhs:
-                failures.append({"graph": g, "outer": f0, "inner": inner,
-                                 "lhs": lhs, "rhs": rhs})
-    return DualityReport(render_otree(tau), d, checked, failures)
+    for p in np.flatnonzero(lhs != rhs).tolist():
+        f0, inner, _, _ = cases[case_at[p]]
+        failures.append({"graph": graphs[graph_at[p]], "outer": f0, "inner": inner,
+                         "lhs": int(lhs[p]), "rhs": int(rhs[p])})
+    return DualityReport(render_otree(tau), d, len(case_at), failures)
 
 
 def check_duality(tau: OTree, d: int) -> DualityReport:

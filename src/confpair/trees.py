@@ -433,6 +433,5 @@ def tree_node_to_json(node):
     return {"left": tree_node_to_json(node[0]), "right": tree_node_to_json(node[1])}
 
 
-def forest_to_json(f: Forest):
-    return {"kind": "forest", "n": f.n,
-            "trees": [tree_node_to_json(t.node) for t in f.trees]}
+def forest_to_json(f: Forest, node_json=tree_node_to_json):
+    return {"kind": "forest", "n": f.n, "trees": [node_json(t.node) for t in f.trees]}

@@ -27,6 +27,15 @@ monomials as one closed-form sum over factor pairs; the reference here
 (bracket_monomials) applies the Leibniz rule one factor at a time, through
 a recursion that swaps its arguments when U has several factors.
 
+Composition.  operad.compose reads the Leibniz expansion of a substitution
+as one closed-form sum on tree nodes; the reference here
+(compose_by_substitution) substitutes bracket expressions, reduces them with
+brackets.reduce_expr and normalizes with normalize_pois.  operad's duality
+sweep reads both sides off pair_matrix blocks; the reference (check_cases)
+checks one case at a time with pair_basis and pair, over the cases that
+exhaustive_cases and sampled_cases list in check_duality's and
+sample_duality's order.
+
 Explicit relation instances, for annihilation testing against the pairing.
 Every element built here lies in the kernel of the quotient map, so it must
 pair to zero against the whole dual spanning set.  Tree-side instances are
@@ -40,14 +49,20 @@ single pairs [i,j], i < j, in lexicographic order (first_degree_bases).
 
 from __future__ import annotations
 
+import functools
 import itertools
+import random
 
+from confpair.brackets import forest_to_expr, map_vars, reduce_expr
 from confpair.errors import ValidationError
-from confpair.graphs import Graph
+from confpair.graphs import Graph, enumerate_long_graphs
 from confpair.lincombo import LinCombo
-from confpair.normalize import anti_sign, eps, reversal_sign
-from confpair.trees import (Forest, Tree, _node_size, inversion_parity, single_tree_forest,
-                            sort_trees_with_parity)
+from confpair.normalize import anti_sign, eps, normalize_pois, reversal_sign
+from confpair.operad import DualityReport, cooperad, two_level_sites
+from confpair.otrees import render_otree
+from confpair.pairing import pair, pair_basis
+from confpair.trees import (Forest, Tree, _node_size, enumerate_tall_forests, inversion_parity,
+                            single_tree_forest, sort_trees_with_parity, vertices_before_leaf)
 
 
 class PlanarForest(Forest):
@@ -246,6 +261,88 @@ def bracket_monomials(u_trees, w_trees, d):
     # len(u_trees) > 1: swap arguments
     s = anti_sign(_monomial_brackets(u_trees), _monomial_brackets(w_trees), d)
     return [(s * c, trees) for c, trees in bracket_monomials(w_trees, u_trees, d)]
+
+
+# ---------------------------------------------------------------------------
+# composition by substitution and the duality sweep case by case
+
+def substitute_basis(f1: Forest, i: int, f2: Forest, d: int) -> LinCombo:
+    """One compose term before tall normalization: substitute, Leibniz-reduce, sign."""
+    n, m = f1.n, f2.n
+    if not 1 <= i <= n:
+        raise ValidationError(f"composition index {i} out of range 1..{n}")
+    inner = map_vars(forest_to_expr(f2), lambda v: v + i - 1)
+    combined = map_vars(forest_to_expr(f1),
+                        lambda v: inner if v == i else v + m - 1 if v > i else v)
+    sign = eps(f2.size * vertices_before_leaf(f1, i), d)
+    return sign * reduce_expr(combined, d)
+
+
+def compose_by_substitution(b1, i: int, b2, d: int) -> LinCombo:
+    """Bilinear composition through substitute_basis and normalize_pois (the
+    reference for operad.compose)."""
+    left, right = LinCombo.of(b1), LinCombo.of(b2)
+    return LinCombo([(f, c1 * c2 * c) for f1, c1 in left for f2, c2 in right
+                     for f, c in normalize_pois(substitute_basis(f1, i, f2, d), d)])
+
+
+def compose_along_by_substitution(tau, f0, inner, d) -> LinCombo:
+    """operad.compose_along through compose_by_substitution."""
+    result = LinCombo.single(f0)
+    for pos, _ in sorted(two_level_sites(tau), reverse=True):
+        result = compose_by_substitution(result, pos, inner[pos], d)
+    return result
+
+
+def _bases(tau):
+    sites = two_level_sites(tau)
+    outer = [f for k in range(len(tau.node)) for f in enumerate_tall_forests(len(tau.node), k)]
+    inner = [[f for k in range(m) for f in enumerate_tall_forests(m, k)] for _, m in sites]
+    graphs = [enumerate_long_graphs(tau.n_leaves, k) for k in range(tau.n_leaves)]
+    return [pos for pos, _ in sites], outer, inner, graphs
+
+
+def exhaustive_cases(tau):
+    """check_duality's (f0, inner, graphs) cases, in its order."""
+    positions, outer, inner, graphs = _bases(tau)
+    for f0 in outer:
+        for picked in itertools.product(*inner):
+            yield f0, dict(zip(positions, picked)), graphs[f0.size + sum(f.size for f in picked)]
+
+
+def sampled_cases(tau, trials, seed):
+    """sample_duality's cases, drawn in its order from random.Random(seed)."""
+    positions, outer, inner, graphs = _bases(tau)
+    rng = random.Random(seed)
+    for _ in range(trials):
+        f0 = rng.choice(outer)
+        picked = [rng.choice(basis) for basis in inner]
+        yield f0, dict(zip(positions, picked)), [
+            rng.choice(graphs[f0.size + sum(f.size for f in picked)])]
+
+
+def check_cases(tau, d, cases) -> DualityReport:
+    """The duality sweep one case at a time (the reference for
+    operad._check_cases): each graph is split once, its factors are paired
+    with pair_basis and the composed side with pair."""
+    split = functools.cache(lambda g: cooperad(g, tau, d))
+    checked = 0
+    failures = []
+    for f0, inner, graphs in cases:
+        composed = compose_along_by_substitution(tau, f0, inner, d)
+        koszul = eps(f0.size * sum(f.size for f in inner.values()), d)
+        bases = (f0, *inner.values())
+        for g in graphs:
+            res = split(g)
+            lhs = res.sign * koszul
+            for factor, fv in zip(res.factors, bases):
+                lhs *= pair_basis(factor, fv, d).value
+            rhs = pair(g, composed, d)
+            checked += 1
+            if lhs != rhs:
+                failures.append({"graph": g, "outer": f0, "inner": inner,
+                                 "lhs": lhs, "rhs": rhs})
+    return DualityReport(render_otree(tau), d, checked, failures)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -10,12 +11,14 @@ from pathlib import Path
 import pytest
 
 import confpair.cli
-from confpair.cli import SIZE_BUDGET, _compact, main
-from confpair.graphs import parse_graph
+from confpair.cli import SIZE_BUDGET, _combo_json, _compact, _json_order, main
+from confpair.graphs import Graph, graph_to_json, parse_graph
 from confpair.lincombo import LinCombo
 from confpair.normalize import _long_support_size, _support_size
 from confpair.pairing import pair_basis, poincare_coefficients, verify_perfect
-from confpair.trees import parse_forest
+from confpair.trees import Forest, forest_to_json, parse_forest
+
+from conftest import random_forest
 
 
 def left_comb(levels):
@@ -347,10 +350,10 @@ def test_positive_degrees_are_at_least_degree_one():
 def test_oversize_input_is_refused_before_any_work(capsys, monkeypatch, argv):
     def no_work(*args, **kwargs):
         raise AssertionError("the guard let the work start")
-    for name in ("poincare_coefficients", "rank_table", "gram_matrix",
+    for name in ("poincare_coefficients", "rank_table", "_gram_block",
                  "enumerate_tall_forests", "enumerate_long_graphs",
                  "check_duality", "sample_duality", "normalize_pois", "normalize_siop",
-                 "substitute_basis"):
+                 "leibniz_terms", "tall_terms"):
         monkeypatch.setattr(f"confpair.cli.{name}", no_work)
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
@@ -401,13 +404,13 @@ def test_size_budget_boundary_of_the_long_expansion():
 ], ids=["inner-17", "inner-18", "inner-500", "outer-11", "outer-12"])
 def test_compose_size_guard_boundary(capsys, monkeypatch, outer, inner, verdict):
     """Refused: exit 2 before tall normalization.  Admitted: the Leibniz
-    reduction reaches normalize_pois, here a stub that counts its forests."""
+    expansion reaches tall_terms, here a stub that counts its forests."""
     reduced = []
 
-    def count_forests(combo, d):
-        reduced.append(len(combo))
+    def count_forests(terms, n, d):
+        reduced.append(len(terms))
         return LinCombo.zero()
-    monkeypatch.setattr("confpair.cli.normalize_pois", count_forests)
+    monkeypatch.setattr("confpair.cli.tall_terms", count_forests)
     start = time.perf_counter()
     code, out, err = run(capsys, ["compose", "--outer", outer, "--index", "1", "--inner", inner])
     if isinstance(verdict, int):
@@ -637,3 +640,27 @@ def test_json_output_renders_no_text(capsys, monkeypatch, argv):
     monkeypatch.setattr(confpair.cli, "render_graph", refuse)
     code, out, err = run(capsys, argv + ["--format", "json"])
     assert (code, err) == (0, "") and json.loads(out)["terms"]
+
+
+def test_json_terms_sort_as_their_json_texts():
+    """Labels of 10 and more sort apart as numbers and as strings: `1}`
+    sorts after `10}` but `1,` before `10,`."""
+    rng = random.Random(15)
+    forests = {random_forest(rng, rng.randint(9, 13)) for _ in range(300)}
+    forests |= {parse_forest(text) for text in ("1", "[1,2]", "[2,1]", "[1,10] ; 2 ; 3 ; 4 ; 5 ; "
+                                                "6 ; 7 ; 8 ; 9", "[1,2] ; 3 ; 4 ; 5 ; 6 ; 7 ; 8 ; "
+                                                "9 ; 10")}
+    forests.add(Forest((), 0))
+    graphs = {Graph(n, tuple(rng.sample([(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+                                         if i != j], rng.randint(0, 4))))
+              for n in (9, 10, 11, 12) for _ in range(100)}
+    graphs |= {Graph(10, ()), Graph(1, ()), Graph(10, ((1, 10),)), Graph(10, ((1, 2),)),
+               Graph(10, ((1, 2), (2, 10))), Graph(10, ((10, 2),))}
+    for elements in (forests, graphs, forests | graphs):
+        by_text = sorted(elements, key=lambda e: json.dumps(
+            forest_to_json(e) if isinstance(e, Forest) else graph_to_json(e), sort_keys=True))
+        assert sorted(elements, key=_json_order) == by_text
+    combo = LinCombo([(f, rng.randint(1, 9)) for f in forests if f.n == 11])
+    terms = _combo_json(combo, 11, forest_to_json)["terms"]
+    texts = [json.dumps(t["element"], sort_keys=True) for t in terms]
+    assert len(terms) == len(combo) > 10 and texts == sorted(texts)

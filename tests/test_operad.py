@@ -14,9 +14,12 @@ from confpair.operad import (all_two_level_trees, check_duality, compose,
                              compose_along, cooperad, cooperad_combo,
                              sample_duality, two_level_sites)
 from confpair.otrees import LEAF, OTree, corolla, graft_tree, may_tree, parse_otree
-from confpair.trees import enumerate_tall_forests, parse_forest, render_forest
+from confpair.trees import Forest, Tree, enumerate_tall_forests, parse_forest, render_forest
 
-from conftest import reduced_otree_nodes
+import oracles
+from conftest import random_forest, reduced_otree_nodes
+from oracles import (PlanarForest, check_cases, compose_by_substitution, exhaustive_cases,
+                     sampled_cases)
 
 
 def as_dict(combo):
@@ -209,17 +212,13 @@ CORRUPTED_TAU, CORRUPTED_G = "((*),(*,*,*))", "n=4; 1->3, 3->2, 2->4"
 
 
 def corrupted_sweep(monkeypatch, name, corrupt, d):
-    """check_duality with operad.<name> corrupted on CORRUPTED_G only; every
-    case of that graph must fail, and no other."""
+    """check_duality with operad.<name> replaced by corrupt(real, g), which
+    corrupts it on CORRUPTED_G only; every case of that graph must fail, and
+    no other."""
     tau, g = parse_otree(CORRUPTED_TAU), parse_graph(CORRUPTED_G)
     clean = check_duality(tau, d)
     assert clean.ok
-    real = getattr(operad, name)
-
-    def corrupted(h, x, d):
-        return corrupt(real(h, x, d)) if h == g else real(h, x, d)
-
-    monkeypatch.setattr(operad, name, corrupted)
+    monkeypatch.setattr(operad, name, corrupt(getattr(operad, name), g))
     rep = check_duality(tau, d)
     cases = [(parse_forest("[1,2]"), {1: parse_forest("1"), 2: f})
              for f in enumerate_tall_forests(3, 2)]
@@ -237,8 +236,11 @@ def test_duality_sweep_catches_a_corrupted_split_in_every_case(monkeypatch, d):
         splits[h] += 1
         return real(h, tau, d)
 
-    def negated(res):
-        return dataclasses.replace(res, sign=-res.sign)
+    def negated(real, g):
+        def split(h, tau, d):
+            res = real(h, tau, d)
+            return dataclasses.replace(res, sign=-res.sign) if h == g else res
+        return split
 
     monkeypatch.setattr(operad, "cooperad", counted)
     corrupted_sweep(monkeypatch, "cooperad", negated, d)
@@ -247,7 +249,15 @@ def test_duality_sweep_catches_a_corrupted_split_in_every_case(monkeypatch, d):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_duality_sweep_catches_a_corrupted_pairing_in_every_case(monkeypatch, d):
-    corrupted_sweep(monkeypatch, "pair", lambda value: -value, d)
+    # the right-hand side reads g's row of the kernel's block over the composed supports
+    def negated_rows(real, g):
+        def block(graphs, forests, d):
+            out = real(graphs, forests, d)
+            out[[r for r, h in enumerate(graphs) if h == g]] *= -1
+            return out
+        return block
+
+    corrupted_sweep(monkeypatch, "pair_matrix", negated_rows, d)
 
 
 def test_all_two_level_trees_counts():
@@ -312,3 +322,118 @@ def test_cooperad_sign_of_a_depth_three_split():
     g, tau = parse_graph("n=4; 1->2, 3->4, 2->3"), parse_otree("((*,(*,*)),*)")
     assert [cooperad(g, tau, d).sign for d in (2, 3)] == [-1, 1]
     assert [sorted_split_sign(g, tau, d) for d in (2, 3)] == [-1, 1]
+
+
+# ---------------------------------------------------------------------------
+# the closed-form composition and the batched sweep against their references
+
+def left_comb(k):
+    """[[...[1,2],3]...,k]: leaf 1 sits under k - 1 brackets."""
+    node = 1
+    for lab in range(2, k + 1):
+        node = (node, lab)
+    return Forest((Tree(node),), k)
+
+
+def right_comb(k):
+    """[1,[2,...[k-1,k]]]."""
+    node = k
+    for lab in range(k - 1, 0, -1):
+        node = (lab, node)
+    return Forest((Tree(node),), k)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_closed_form_compose_equals_substitution_on_every_tall_pair(d):
+    checked = 0
+    for n in range(1, 6):
+        for m in range(1, 7 - n):
+            for f1, f2 in itertools.product(tall_basis(n), tall_basis(m)):
+                for i in range(1, n + 1):
+                    assert compose(f1, i, f2, d) == compose_by_substitution(f1, i, f2, d), (
+                        f1, i, f2)
+                    checked += 1
+    assert checked == 1_335  # sum over n + m <= 6 of n! * m! * n
+
+
+def test_closed_form_compose_equals_substitution_on_random_forests():
+    rng = random.Random(2006)
+    for _ in range(400):
+        n, m, d = rng.randint(1, 5), rng.randint(1, 5), rng.randint(2, 5)
+        f1, f2 = random_forest(rng, n), random_forest(rng, m)
+        for x, y in ((f1, f2), (PlanarForest(tuple(rng.sample(f1.trees, len(f1.trees))), n),
+                               PlanarForest(tuple(rng.sample(f2.trees, len(f2.trees))), m))):
+            i = rng.randint(1, n)
+            assert compose(x, i, y, d) == compose_by_substitution(x, i, y, d), (x, i, y, d)
+    combo = LinCombo([(random_forest(rng, 4), 3), (random_forest(rng, 4), -2)])
+    inner = LinCombo([(random_forest(rng, 3), 5), (random_forest(rng, 3), 1)])
+    for d in (2, 3):
+        assert compose(combo, 2, inner, d) == compose_by_substitution(combo, 2, inner, d)
+
+
+@pytest.mark.parametrize("outer, index, inner", [
+    ("[1,[2,3]]", 3, "1 ; 2"),  # the README example
+    ("[1,2]", 1, "[1,[2,[3,[4,[5,[6,[7,8]]]]]]]"),  # a right comb inside: 2^6 tall terms
+    ("[[[[[[1,2],3],4],5],6],7]", 1, "1 ; 2 ; 3"),  # a left comb outside: 3^6 terms
+    ("[[[[[[1,2],3],4],5],6],7]", 4, "[2,1] ; 3"),
+    ("[1,[2,[3,[4,[5,6]]]]]", 6, "1 ; [2,3] ; 4"),
+    ("[1,[2,[3,[4,[5,6]]]]]", 1, "[[1,2],3] ; 4"),
+], ids=["readme", "right-inner", "left-outer", "left-outer-middle", "right-outer-deepest",
+        "right-outer-top"])
+def test_closed_form_compose_equals_substitution_on_combs(outer, index, inner):
+    f1, f2 = parse_forest(outer), parse_forest(inner)
+    for d in (2, 3):
+        assert compose(f1, index, f2, d) == compose_by_substitution(f1, index, f2, d)
+
+
+def test_combs_compose_as_their_size_formulas_say():
+    for d in (2, 3):
+        assert len(compose(left_comb(7), 1, parse_forest("1 ; 2 ; 3"), d)) == 3 ** 6
+        assert len(compose(parse_forest("[1,2]"), 1, right_comb(8), d)) == 2 ** 6
+        assert compose(left_comb(5), 1, left_comb(4), d) == LinCombo.single(
+            parse_forest("[[[[[[[1,2],3],4],5],6],7],8]"))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_batched_sweep_equals_the_case_by_case_route(d):
+    for tau in all_two_level_trees(5):
+        assert check_duality(tau, d) == check_cases(tau, d, exhaustive_cases(tau)), tau
+
+
+@pytest.mark.parametrize("seed", [0, 7, 61])
+def test_sampled_sweep_draws_and_reports_as_the_case_by_case_route(seed):
+    tau = parse_otree("((*,*,*),(*,*,*))")
+    for d in (2, 3):
+        rep = sample_duality(tau, d, trials=60, seed=seed)
+        assert rep == check_cases(tau, d, sampled_cases(tau, 60, seed))
+        assert rep.ok and rep.cases_checked == 60
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_corrupted_split_fails_as_in_the_case_by_case_route(monkeypatch, d):
+    """Many failures, in order: every graph whose first edge is 1->2 splits
+    with the wrong sign, in the sweep and in its reference alike."""
+    real = operad.cooperad
+
+    def corrupted(g, tau, d):
+        res = real(g, tau, d)
+        return dataclasses.replace(res, sign=-res.sign) if g.edges[:1] == ((1, 2),) else res
+
+    monkeypatch.setattr(operad, "cooperad", corrupted)
+    monkeypatch.setattr(oracles, "cooperad", corrupted)
+    for tau in map(parse_otree, ("((*,*),(*,*,*))", "(*,(*,*,*),*)", "((*,*,*,*),*)")):
+        rep = check_duality(tau, d)
+        assert rep == check_cases(tau, d, exhaustive_cases(tau))
+        assert rep.failures and all(c["lhs"] == -c["rhs"] for c in rep.failures)
+
+
+def test_a_right_side_beyond_int64_is_compared_exactly(monkeypatch):
+    """Coefficients past 2^63 switch the right side to Python ints."""
+    big, tau = 2 ** 70 + 1, parse_otree("((*,*),(*,*))")
+    clean = [check_duality(tau, d) for d in (2, 3)]
+    real = operad.compose_along
+    monkeypatch.setattr(operad, "compose_along", lambda *args: big * real(*args))
+    for d, before in zip((2, 3), clean):
+        rep = check_duality(tau, d)
+        assert rep.cases_checked == before.cases_checked and before.ok and rep.failures
+        assert all(type(c["rhs"]) is int and c["rhs"] == big * c["lhs"] != 0 for c in rep.failures)

@@ -60,3 +60,16 @@ def test_the_lazy_caches_are_the_five_documented_ones():
     found = sorted(name for path in SOURCES for name in lazy_caches(path))
     assert found == ["Forest.leaf_info", "Forest.size", "Forest.vertex_index",
                      "Graph.components", "Tree.leaf_paths"]
+
+
+def test_composition_is_closed_form_and_the_sweep_reads_kernel_blocks():
+    # substitute, Leibniz-reduce and normalize is the reference in tests/oracles.py
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        assert "substitute_basis" not in defined | called, path.name
+    path = next(p for p in SOURCES if p.name == "operad.py")
+    names = {name.rsplit(".", 1)[-1] for name in imported_modules(path)}
+    assert "pair_matrix" in names and not names & {"pair", "pair_basis"}, names

@@ -9,8 +9,8 @@ from confpair.graphs import Graph, enumerate_long_graphs, parse_graph
 from confpair import pairing
 from confpair.lincombo import LinCombo
 from confpair.cli import main
-from confpair.pairing import (PairingResult, gram_matrix, pair, pair_basis, pair_matrix,
-                              poincare_coefficients, rank_table, verify_perfect)
+from confpair.pairing import (GramMatrix, PairingResult, gram_matrix, pair, pair_basis,
+                              pair_matrix, poincare_coefficients, rank_table, verify_perfect)
 from confpair.trees import Tree, enumerate_tall_forests, parse_forest
 
 from conftest import basis_count_oracle
@@ -275,6 +275,26 @@ def test_verify_json_prints_the_failures_of_a_corrupted_kernel(capsys, monkeypat
         [list(t) for t in r.failures] for r in report.degrees]
     assert payload["first_degree"]["failures"] == list(map(list, report.first_degree_failures))
     assert [bool(r["failures"]) for r in payload["degrees"]] == [False, True, True, True, True]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_gram_reads_its_verdict_off_a_corrupted_kernel(capsys, monkeypatch, fmt):
+    """`gram` prints the kernel's block and exits 3 on it, though the
+    tuple-row verdict it no longer reads is blanked."""
+    corrupt_the_kernel(monkeypatch, corrupted_entries(5))
+    monkeypatch.setattr(GramMatrix, "failures", lambda self: [])
+    assert main(["gram", "--n", "5", "--k", "2", "--d", "2", "--format", fmt]) == 3
+    out = capsys.readouterr()
+    assert out.err == "verification failure: Gram matrix n=5 k=2 is not the identity\n"
+    if fmt == "json":
+        payload = json.loads(out.out)
+        assert payload["identity"] is False
+        rows = payload["entries"]
+    else:
+        lines = out.out.splitlines()
+        assert lines[-1] == "identity: False"
+        rows = [list(map(int, line.split())) for line in lines[:-1]]
+    assert (len(rows), rows[1][1], rows[0][2], rows[0][0]) == (35, 0, -1, 1)
 
 
 def test_verify_perfect_builds_no_gram_matrix(monkeypatch):
