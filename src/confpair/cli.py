@@ -10,6 +10,7 @@ numpy's generator, which takes no negative --seed (exit 2).
 
 Sizes are checked against SIZE_BUDGET before any work starts; for
 geom-check the size is its coordinates, samples x eps values x n x d.
+verify checks its Gram entries against pairing.ENTRY_BUDGET instead.
 
 A command builds only the format --format names, and this module turns
 the library's results into text lines and JSON payloads; geom-check's
@@ -294,7 +295,7 @@ def _perfect_json(report):
 
 
 def cmd_verify(args):
-    report = verify_perfect(args.n, args.d)
+    report = verify_perfect(args.n, args.d, exhaustive=args.exhaustive)
     _emit(args, lambda: _perfect_lines(report), lambda: _perfect_json(report))
     if not report.ok:
         raise VerificationFailure(f"perfect-pairing verification failed for n={args.n}")
@@ -411,6 +412,8 @@ def build_parser():
 
     p = sub.add_parser("verify", help="perfect-pairing verification for one n")
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("--exhaustive", action="store_true",
+                   help="build every dense Gram block, not only the top-degree ones")
     _add_common(p, cmd_verify)
 
     p = sub.add_parser("duality", help="operad/cooperad duality for a two-level o-tree")

@@ -19,6 +19,27 @@ Gram entries come from one batch kernel, pair_matrix; pair_basis, one
 entry per call, stays as its oracle.  A Gram block is the int8 array that
 fills, and verify_perfect reads its verdict off that array; only
 gram_matrix converts a block to rows of Python ints.
+
+verify_perfect checks the top-degree blocks only, by two lemmas.  Block
+lemma: <g, F> = 0 unless the components of g and the trees of F partition
+{1..n} the same way (an edge across two trees has no nadir).  Factorization
+lemma: for a long graph g and a tall forest F that do, <g, F> is the
+product over the blocks B of the top-degree entry T_|B|[g|B, F|B], both
+restricted to B and relabelled order-preservingly to 1..|B|.  The nadirs
+of B's edges are the vertices of B's tree, so the side bits split over
+blocks; g lists its edges block by block in the order of the blocks'
+minima, as F lists its trees, so no inversion crosses two blocks.
+Relabelling keeps the long-chain/tall-comb correspondence of the bases,
+so every degree-k block is the identity exactly when every T_m, m <= n,
+is.  The degree sizes then follow from the |T_m| built: with s(a, b)
+the tall forests on a labels in b trees, choosing the block of label 1,
+
+    s(a, b) = sum_m C(a-1, m-1) |T_m| s(a-m, b-1),    s(0, 0) = 1,
+
+and degree k has s(n, n-k) rows.  That is sum_{m<=n} ((m-1)!)^2 entries in
+place of sum_k c(n, k)^2 (15,018 against 147,552 at n=6).  A T_m off the
+identity sends verify_perfect to the dense route, which names each failing
+entry; both routes refuse an n whose entries pass ENTRY_BUDGET.
 """
 
 from __future__ import annotations
@@ -28,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, VerificationFailure
 from .graphs import Graph, enumerate_long_graphs
 from .lincombo import LinCombo
 from .trees import Forest, check_degree, enumerate_tall_forests, inversion_parity
@@ -290,18 +311,81 @@ class PerfectReport:
     ok: bool
 
 
-def verify_perfect(n: int, d: int, pair_fn=None) -> PerfectReport:
-    """Check the Gram identity in every degree k < n, one block per degree.
+ENTRY_BUDGET = 2 ** 25  # most Gram entries one verify_perfect call builds
 
-    The first-degree report is the k=1 block (single edges i->j against
-    single pairs [i,j]), its failures indexed by the lexicographic order
-    of (i, j).  The default reads every block off pair_matrix.  A pair_fn
-    is called once per entry instead: pair_basis is the kernel's oracle,
-    and a corrupted sign convention is a negative control.
+
+def _gram_entries(n: int, exhaustive: bool) -> int:
+    """The Gram entries verify_perfect(n) builds, or a partial sum past
+    ENTRY_BUDGET: sum_{m<=n} ((m-1)!)^2 for the top-degree blocks, or
+    sum_k c(n, k)^2 for the dense ones, c(n, k) = poincare_coefficients(n)[k].
+    The dense count is the larger (c(n, k) >= c(k+1, k) = k!), so it is
+    only summed under the budget, and a huge n stops the first sum at m = 9."""
+    entries = 0
+    for m in range(1, n + 1):
+        entries += math.factorial(m - 1) ** 2
+        if entries > ENTRY_BUDGET:
+            return entries
+    return sum(c * c for c in poincare_coefficients(n)) if exhaustive else entries
+
+
+def _degree_sizes(top):
+    """Rows of each degree-k block of n = len(top), from top[m-1] = |T_m|:
+    s(n, n-k) by the recurrence in the module docstring."""
+    s = [[1]]  # s[a][b]: tall forests on a labels in b trees
+    for a in range(1, len(top) + 1):
+        s.append([0] + [sum(math.comb(a - 1, m - 1) * top[m - 1] * s[a - m][b - 1]
+                            for m in range(1, a - b + 2))
+                        for b in range(1, a + 1)])
+    return [s[-1][len(top) - k] for k in range(len(top))]
+
+
+def verify_perfect(n: int, d: int, pair_fn=None, exhaustive=False) -> PerfectReport:
+    """Check the Gram identity in every degree k < n.
+
+    By default only the top-degree blocks T_1..T_n are built (see the
+    module docstring for the lemmas that make that enough); when all are
+    the identity, every degree is reported as the identity, with its size
+    counted from the |T_m|.  At the first T_m off the identity the report
+    is the dense one, as with exhaustive=True; when the dense blocks pass
+    ENTRY_BUDGET, VerificationFailure names m and T_m's first failing
+    (row, col, value) instead.
+
+    exhaustive=True builds one dense block per degree.  Its first-degree
+    report is the k=1 block (single edges i->j against single pairs
+    [i,j]), its failures indexed by the lexicographic order of (i, j).
+
+    Blocks are read off pair_matrix.  A pair_fn is called once per entry
+    instead: pair_basis is the kernel's oracle, and a corrupted sign
+    convention is a negative control.  An n whose blocks hold more than
+    ENTRY_BUDGET entries is refused before any block is built.
     """
     check_degree(n, 0)
-    if n > 7:
-        raise ValidationError("verify_perfect is desk-scale: n <= 7")
+    if _gram_entries(n, exhaustive) > ENTRY_BUDGET:
+        kind = "dense" if exhaustive else "top-degree"
+        raise ValidationError(f"n={n} needs more {kind} Gram entries than the budget "
+                              f"of {ENTRY_BUDGET}")
+    if exhaustive:
+        return _dense_report(n, d, pair_fn)
+    top = []
+    for m in range(1, n + 1):
+        block = _gram_block(m, m - 1, d, pair_fn)[2]
+        failures = _identity_failures(block)
+        if failures:
+            if _gram_entries(n, True) > ENTRY_BUDGET:
+                raise VerificationFailure(
+                    f"perfect-pairing verification failed for n={n}: T_{m} is not the "
+                    f"identity, first at (row, col, value) = {failures[0]}")
+            return _dense_report(n, d, pair_fn)
+        top.append(len(block))
+    sizes = _degree_sizes(top)
+    return PerfectReport(
+        n, parity_name(d), [DegreeReport(k, size, True, []) for k, size in enumerate(sizes)],
+        sizes[1] if n > 1 else 0, True, [], True,
+    )
+
+
+def _dense_report(n, d, pair_fn):
+    """verify_perfect's report read off one dense block per degree."""
     degrees = []
     first = DegreeReport(1, 0, True, [])  # n = 1 has no degree-1 block
     for k in range(n):

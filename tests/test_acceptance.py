@@ -240,7 +240,7 @@ def test_criterion_7_first_degree_structure():
     for n in range(2, 8):
         graphs, forests = first_degree_bases(n)
         ok = ok and len(graphs) == n * (n - 1) // 2
-        # verify_perfect reads its first-degree report off the k=1 block
+        # the dense verify_perfect route reads its first-degree report off the k=1 block
         ok = ok and set(graphs) == set(enumerate_long_graphs(n, 1))
         ok = ok and set(forests) == set(enumerate_tall_forests(n, 1))
         for d in (2, 3):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,7 @@ from confpair.lincombo import LinCombo
 from confpair.cli import main
 from confpair.pairing import (GramMatrix, PairingResult, gram_matrix, pair, pair_basis,
                               pair_matrix, poincare_coefficients, rank_table, verify_perfect)
-from confpair.trees import Tree, enumerate_tall_forests, parse_forest
+from confpair.trees import Forest, Tree, enumerate_tall_forests, parse_forest
 
 from conftest import basis_count_oracle
 from oracles import PlanarForest, first_degree_bases
@@ -131,10 +132,20 @@ def test_verify_perfect_passes():
     assert [r.size for r in rep.degrees] == [1, 10, 35, 50, 24]
 
 
-@pytest.mark.parametrize("n", [0, -3, 8])
-def test_verify_perfect_refuses_n_outside_one_to_seven(n):
+@pytest.mark.parametrize("n", [0, -3, 8, 9])
+def test_verify_perfect_refuses_n_outside_one_to_seven(monkeypatch, n):
+    """n < 1 and n = 9 are refused on both routes, before any block is
+    built; n = 8 only on the dense route, whose 418,389,078 entries pass
+    the budget that its 25,935,018 top-degree entries stay within."""
+    def no_block(*args):
+        raise AssertionError("a Gram block was built")
+
+    monkeypatch.setattr(pairing, "_gram_block", no_block)
     with pytest.raises(ValidationError):
-        verify_perfect(n, 2)
+        verify_perfect(n, 2, exhaustive=True)
+    if n != 8:
+        with pytest.raises(ValidationError):
+            verify_perfect(n, 2)
 
 
 def test_verify_perfect_negative_control():
@@ -158,18 +169,22 @@ def test_verify_perfect_pair_fn_path_matches_the_gram_path(n, d):
     assert verify_perfect(n, d, pair_fn=pair_basis) == verify_perfect(n, d)
 
 
+def flip_two_edge_rows(graphs, forests, d):
+    """pair_matrix with the sign of every 2-edge graph's row flipped."""
+    block = pair_matrix(graphs, forests, d)
+    block[[len(g.edges) == 2 for g in graphs]] *= -1
+    return block
+
+
+def flip_two_edges(g, f, d):
+    """pair_basis with the sign of every 2-edge graph's entry flipped."""
+    res = pair_basis(g, f, d)
+    return PairingResult(-res.value, res.beta_witness) if len(g.edges) == 2 else res
+
+
 def test_verify_perfect_reads_each_degree_off_one_gram_matrix(monkeypatch):
     """Both paths take each degree's verdict from _identity_failures, and the
     default path looks pair_matrix up when it is called."""
-    def flip_two_edge_rows(graphs, forests, d):
-        block = pair_matrix(graphs, forests, d)
-        block[[len(g.edges) == 2 for g in graphs]] *= -1
-        return block
-
-    def flip_two_edges(g, f, d):
-        res = pair_basis(g, f, d)
-        return PairingResult(-res.value, res.beta_witness) if len(g.edges) == 2 else res
-
     monkeypatch.setattr("confpair.pairing.pair_matrix", flip_two_edge_rows)
     assert not verify_perfect(3, 2).ok
     assert verify_perfect(3, 2, pair_fn=pair_basis).ok
@@ -190,7 +205,9 @@ def test_verify_perfect_names_first_degree_failures():
                 return PairingResult(-res.value, res.beta_witness) if g.edges == (edge,) else res
 
             for d in (2, 3):
-                rep = verify_perfect(n, d, pair_fn=flip_edge)
+                # one labelled edge is not a relabelling-invariant change, so
+                # only the dense route sees it
+                rep = verify_perfect(n, d, pair_fn=flip_edge, exhaustive=True)
                 assert not rep.ok and not rep.first_degree_identity
                 assert rep.first_degree_failures == [(p, p, -1)]
                 assert [r.failures for r in rep.degrees] == (
@@ -320,6 +337,153 @@ def test_gram_matrix_entries_are_rows_of_python_ints(n):
 def test_first_degree_bases_count():
     graphs, forests = first_degree_bases(5)
     assert len(graphs) == len(forests) == 10
+
+
+# ---------------------------------------------------------------------------
+# the factorized verifier: the two lemmas it rests on, and both routes
+
+def tree_partition(f):
+    """The set partition of 1..n that f's trees give, as Graph.components."""
+    return tuple(sorted(tuple(sorted(t.labels)) for t in f.trees))
+
+
+def relabel_node(node, lab):
+    return lab[node] if isinstance(node, int) else (relabel_node(node[0], lab),
+                                                    relabel_node(node[1], lab))
+
+
+def graph_blocks(g):
+    """g restricted to each component, relabelled to 1..m in order."""
+    out = []
+    for block in g.components:
+        lab = {v: i for i, v in enumerate(block, 1)}
+        out.append(Graph(len(block), tuple((lab[i], lab[j]) for i, j in g.edges if i in lab)))
+    return out
+
+
+def forest_blocks(f):
+    """Each tree of f as a one-tree forest on 1..m, relabelled in order."""
+    out = []
+    for t in f.trees:
+        lab = {v: i for i, v in enumerate(sorted(t.labels), 1)}
+        out.append(Forest((Tree(relabel_node(t.node, lab)),), len(lab)))
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_block_lemma_entries_across_set_partitions_are_zero(d):
+    checked = 0
+    for n in range(1, 6):
+        for k in range(n):
+            graphs, forests = enumerate_long_graphs(n, k), enumerate_tall_forests(n, k)
+            for g in graphs:
+                for f in forests:
+                    if g.components != tree_partition(f):
+                        assert pair_basis(g, f, d).value == 0
+                        checked += 1
+    assert checked == 3678  # of the 4,613 dense entries with n <= 5
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_factorization_lemma_entries_are_products_of_top_degree_entries(d):
+    top = {}  # (graph, forest) -> T_m entry, for every m <= 6
+    for m in range(1, 7):
+        for g in enumerate_long_graphs(m, m - 1):
+            for f in enumerate_tall_forests(m, m - 1):
+                top[g, f] = pair_basis(g, f, d).value
+    matching = [0] * 7
+    for n, k in ((n, k) for n in range(1, 7) for k in range(n)):
+        by_partition = {}
+        for g in enumerate_long_graphs(n, k):
+            by_partition.setdefault(g.components, ([], []))[0].append(g)
+        for f in enumerate_tall_forests(n, k):
+            by_partition[tree_partition(f)][1].append(f)
+        for graphs, forests in by_partition.values():
+            split = [forest_blocks(f) for f in forests]
+            for g in graphs:
+                parts = graph_blocks(g)
+                for f, f_parts in zip(forests, split):
+                    product = math.prod(top[pair] for pair in zip(parts, f_parts))
+                    assert pair_basis(g, f, d).value == product
+                    matching[n] += 1
+    assert matching[6] == 19492  # 38,984 pairs at n = 6 over both parities
+
+
+def test_entry_budget_counts_both_routes():
+    counts = [pairing._gram_entries(n, False) for n in (6, 7, 8, 9)]
+    assert counts == [15018, 533418, 25935018, 1651637418]
+    assert [pairing._gram_entries(n, True) for n in (6, 7, 8)] == [147552, 6838764, 418389078]
+    budget = pairing.ENTRY_BUDGET
+    assert pairing._gram_entries(8, False) <= budget < pairing._gram_entries(9, False)
+    assert pairing._gram_entries(7, True) <= budget < pairing._gram_entries(8, True)
+    assert pairing._gram_entries(10 ** 20, True) > budget
+
+
+def test_degree_sizes_of_the_top_degree_counts_are_the_betti_numbers():
+    for n in range(1, 13):
+        top = [math.factorial(m - 1) for m in range(1, n + 1)]
+        assert tuple(pairing._degree_sizes(top)) == poincare_coefficients(n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_factorized_verify_equals_the_dense_route(n):
+    for d in (2, 3, 4, 5):
+        assert verify_perfect(n, d) == verify_perfect(n, d, exhaustive=True)
+        assert (verify_perfect(n, d, pair_fn=pair_basis)
+                == verify_perfect(n, d, pair_fn=pair_basis, exhaustive=True))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_factorized_verify_equals_the_dense_route_at_n7(d):
+    assert verify_perfect(7, d) == verify_perfect(7, d, exhaustive=True)
+
+
+def test_a_relabelling_invariant_corruption_fails_the_factorized_route(monkeypatch):
+    """Flipping every 2-edge entry flips T_3, so the default route falls
+    back to the dense report, naming every degree-2 entry."""
+    for n in range(3, 6):
+        for d in (2, 3):
+            rep = verify_perfect(n, d, pair_fn=flip_two_edges)
+            assert rep == verify_perfect(n, d, pair_fn=flip_two_edges, exhaustive=True)
+            assert [bool(r.failures) for r in rep.degrees] == [k == 2 for k in range(n)]
+            assert not rep.ok
+            with monkeypatch.context() as m:
+                m.setattr(pairing, "pair_matrix", flip_two_edge_rows)
+                assert verify_perfect(n, d) == rep
+
+
+def test_a_labelled_entry_below_the_top_degree_passes_only_the_dense_route():
+    """Flipping 2->3 against [2,3] at n = 4 moves no T_m entry (T_2 holds
+    1->2 against [1,2]), so the factorized route passes such a kernel: it
+    trusts the lemmas, which the lemma tests above check for pair_basis.
+    The dense route names the entry."""
+    def flip_edge(g, f, d):
+        res = pair_basis(g, f, d)
+        return PairingResult(-res.value, res.beta_witness) if g.edges == ((2, 3),) else res
+
+    for d in (2, 3):
+        assert verify_perfect(4, d, pair_fn=flip_edge).ok
+        dense = verify_perfect(4, d, pair_fn=flip_edge, exhaustive=True)
+        assert not dense.ok and dense.first_degree_failures == [(3, 3, -1)]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_n8_stops_at_a_corrupted_top_degree_block(capsys, monkeypatch, fmt):
+    """Past the dense budget there is no report to fall back to: `verify
+    --n 8` stops at T_3 with one line naming it and its first bad entry."""
+    sizes = []
+
+    def counted(graphs, forests, d):
+        sizes.append(len(graphs))
+        return flip_two_edge_rows(graphs, forests, d)
+
+    monkeypatch.setattr(pairing, "pair_matrix", counted)
+    assert main(["verify", "--n", "8", "--d", "2", "--format", fmt]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("verification failure: perfect-pairing verification failed for n=8: "
+                       "T_3 is not the identity, first at (row, col, value) = (0, 0, -1)\n")
+    assert sizes == [1, 1, 2]
 
 
 # ---------------------------------------------------------------------------
