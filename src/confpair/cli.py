@@ -295,7 +295,7 @@ def _perfect_json(report):
 
 
 def cmd_verify(args):
-    report = verify_perfect(args.n, args.d, exhaustive=args.exhaustive)
+    report = verify_perfect(args.n, args.d)
     _emit(args, lambda: _perfect_lines(report), lambda: _perfect_json(report))
     if not report.ok:
         raise VerificationFailure(f"perfect-pairing verification failed for n={args.n}")
@@ -412,8 +412,6 @@ def build_parser():
 
     p = sub.add_parser("verify", help="perfect-pairing verification for one n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--exhaustive", action="store_true",
-                   help="build every dense Gram block, not only the top-degree ones")
     _add_common(p, cmd_verify)
 
     p = sub.add_parser("duality", help="operad/cooperad duality for a two-level o-tree")

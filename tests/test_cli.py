@@ -551,25 +551,16 @@ def test_verify_prints_the_same_report_as_the_per_entry_oracle(capsys, monkeypat
     src = Path(__file__).resolve().parents[1] / "src"
     kernel = subprocess.run([sys.executable, "-m", "confpair"] + argv, capture_output=True,
                             text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
-    monkeypatch.setattr("confpair.cli.verify_perfect", lambda n, d, exhaustive: verify_perfect(
-        n, d, pair_fn=pair_basis, exhaustive=exhaustive))
+    monkeypatch.setattr("confpair.cli.verify_perfect",
+                        lambda n, d: verify_perfect(n, d, pair_fn=pair_basis))
     assert run(capsys, argv) == (kernel.returncode, kernel.stdout, kernel.stderr) == (
         0, kernel.stdout, "")
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("n", range(1, 7))
-def test_verify_prints_the_same_with_and_without_exhaustive(capsys, n, fmt):
-    for d in (2, 3):
-        argv = ["verify", "--n", str(n), "--d", str(d), "--format", fmt]
-        assert run(capsys, argv) == run(capsys, argv + ["--exhaustive"])
-
-
 @pytest.mark.parametrize("argv", [
     ["verify", "--n", "9"],
-    ["verify", "--n", "8", "--exhaustive"],
     ["verify", "--n", "99999999999999999999"],
-], ids=["9", "8-exhaustive", "huge"])
+], ids=["9", "huge"])
 def test_verify_above_the_entry_budget_is_refused_before_any_block(argv):
     """The entry count is checked before the first Gram block: the refusal
     comes within 1 s, under a cap that the n = 9 blocks would pass."""

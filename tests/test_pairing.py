@@ -224,10 +224,13 @@ def test_verify_perfect_builds_one_block_per_degree(monkeypatch):
     monkeypatch.setattr(pairing, "pair_matrix", counted)
     for n in range(1, 7):
         for d in (2, 3):
-            calls.clear()
-            rep = verify_perfect(n, d)
-            assert rep.ok and len(calls) == n
-            assert rep.first_degree_size == n * (n - 1) // 2
+            for exhaustive, rows in ((False, [math.factorial(m - 1) for m in range(1, n + 1)]),
+                                     (True, list(poincare_coefficients(n)))):
+                # T_1..T_n by default, one dense block per degree k < n otherwise
+                calls.clear()
+                rep = verify_perfect(n, d, exhaustive=exhaustive)
+                assert rep.ok and calls == rows
+                assert rep.first_degree_size == n * (n - 1) // 2
 
 
 # (degree, row, col, value): diagonal entries flipped or zeroed and
