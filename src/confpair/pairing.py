@@ -346,7 +346,7 @@ def verify_perfect(n: int, d: int, pair_fn=None, exhaustive=False) -> PerfectRep
     module docstring for the lemmas that make that enough); when all are
     the identity, every degree is reported as the identity, with its size
     counted from the |T_m|.  At the first T_m off the identity the report
-    is the dense one, as with exhaustive=True; when the dense blocks pass
+    is the dense one, as with exhaustive=True; when the dense blocks exceed
     ENTRY_BUDGET, VerificationFailure names m and T_m's first failing
     (row, col, value) instead.
 
