@@ -20,12 +20,22 @@ entry per call, stays as its oracle.  A Gram block is the int8 array that
 fills, and verify_perfect reads its verdict off that array; only
 gram_matrix converts a block to rows of Python ints.
 
-verify_perfect checks the top-degree blocks only, by two lemmas.  Block
-lemma: <g, F> = 0 unless the components of g and the trees of F partition
-{1..n} the same way (an edge across two trees has no nadir).  Factorization
-lemma: for a long graph g and a tall forest F that do, <g, F> is the
-product over the blocks B of the top-degree entry T_|B|[g|B, F|B], both
-restricted to B and relabelled order-preservingly to 1..|B|.  The nadirs
+Block lemma: <g, F> = 0 unless the components of g and the trees of F
+partition {1..n} the same way.  It holds for every graph g.  A nonzero
+entry needs each of g's k edges inside a tree (an edge across two trees
+has no nadir) and their k nadirs pairwise distinct.  A cycle of g, a pair
+listed twice included, has its leaves in one tree, on both sides of their
+lowest common ancestor v; going round, it crosses from one side of v to
+the other at least twice, so two of its edges share the nadir v.  So g is
+acyclic, with n - k components, each inside a tree; F has k vertices, so
+n - k trees, and the components are the trees.  pair_matrix skips the
+entries it makes 0 in its larger blocks.
+
+verify_perfect checks the top-degree blocks only, by the block lemma and
+a factorization lemma: for a long graph g and a tall forest F whose
+partitions agree, <g, F> is the product over the blocks B of the
+top-degree entry T_|B|[g|B, F|B], both restricted to B and relabelled
+order-preservingly to 1..|B|.  The nadirs
 of B's edges are the vertices of B's tree, so the side bits split over
 blocks; g lists its edges block by block in the order of the blocks'
 minima, as F lists its trees, so no inversion crosses two blocks.
@@ -50,9 +60,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError, VerificationFailure
-from .graphs import Graph, enumerate_long_graphs
+from .graphs import Graph, graph_of_ordered_partition
 from .lincombo import LinCombo
-from .trees import Forest, check_degree, enumerate_tall_forests, inversion_parity
+from .trees import (Forest, check_degree, forest_of_ordered_partition, inversion_parity,
+                    ordered_partitions)
 
 
 @dataclass(frozen=True)
@@ -126,16 +137,50 @@ def _forest_tables(f: Forest):
 _CHUNK = 128  # forests per gather, so no temporary grows with the block
 
 
+def _forest_labels(nadirs, width):
+    """Each forest's set partition, from its flat nadir table: label v maps
+    to the least label u whose nadir with v exists, or to v itself."""
+    linked = nadirs.reshape(-1, width, width) >= 0
+    linked |= np.eye(width, dtype=bool)
+    return linked.argmax(axis=2)
+
+
+def _graph_labels(ends, width):
+    """Each graph's set partition (its components), from its (graphs, k, 2)
+    edge ends: every label starts as its own class, and each edge position
+    relabels the larger class of its two ends to the smaller."""
+    labels = np.tile(np.arange(width), (len(ends), 1))
+    at = np.arange(len(ends))
+    for e in range(ends.shape[1]):
+        a, b = labels[at, ends[:, e, 0]], labels[at, ends[:, e, 1]]
+        labels = np.where(labels == np.maximum(a, b)[:, None], np.minimum(a, b)[:, None], labels)
+    return labels
+
+
+def _partition_keys(labels):
+    """An int64 sort key per row of least-of-class labels.  Equal partitions
+    give equal keys; the dot product wraps, so two partitions may share a
+    key, which costs only entries gathered in vain."""
+    return labels @ (labels.shape[1] | 1) ** np.arange(labels.shape[1], dtype=np.int64)
+
+
 def pair_matrix(graphs, forests, d: int) -> np.ndarray:
     """The pairing of every graph against every forest, as an int8 array:
     entry (r, c) is pair_basis(graphs[r], forests[c], d).value.
 
     Each forest is read into its nadir and side tables once; each chunk of
-    forests then gathers the entries of every graph's edges in one step.
-    An entry is nonzero when its forest has as many vertices as the graph
-    has edges and the edges' nadirs are distinct (no -1, no repeat once
-    sorted).  Its sign is the parity of the side bits for odd d and the
-    inversion parity of the nadirs in edge order for even d.
+    forests then gathers the entries of the graphs' edges in one step.  An
+    entry is nonzero when its forest has as many vertices as the graph has
+    edges and the edges' nadirs exist (no -1) and are pairwise distinct.
+    Its sign is the parity of the side bits for odd d and the inversion
+    parity of the nadirs in edge order for even d; the even-d inversions
+    and the distinctness test run over the same k(k-1)/2 pairs of edges.
+
+    An edge-count group whose forests fill more than one chunk is banded
+    by the block lemma (module docstring): rows and columns are sorted by
+    a key of their set partition, and each chunk of columns gathers only
+    the rows whose keys fall in the chunk's key range.  Every other entry
+    joins two partitions and is 0.
     """
     sizes = {g.n for g in graphs} | {f.n for f in forests}
     if len(sizes) > 1:
@@ -151,23 +196,36 @@ def pair_matrix(graphs, forests, d: int) -> np.ndarray:
         for r, g in enumerate(graphs):
             by_k.setdefault(len(g.edges), []).append(r)
         for k, rows in by_k.items():
-            edges = np.array([[i * width + j for i, j in graphs[r].edges] for r in rows],
-                             dtype=np.intp)
+            rows = np.array(rows)
+            ends = np.array([graphs[r].edges for r in rows], dtype=np.intp).reshape(len(rows), k, 2)
             cols = np.flatnonzero(f_sizes == k)
-            for lo in range(0, len(cols), _CHUNK):
-                chunk = cols[lo:lo + _CHUNK]
-                verts = nadirs[chunk][:, edges]  # (forests, graphs, k)
-                ordered = np.sort(verts, axis=2)
-                bijective = ((ordered[:, :, :1] >= 0).all(axis=2)
-                             & (ordered[:, :, 1:] != ordered[:, :, :-1]).all(axis=2))
+            starts = range(0, len(cols), _CHUNK)
+            bands = [(0, len(rows))]
+            if len(cols) > _CHUNK:
+                r_key = _partition_keys(_graph_labels(ends, width))
+                c_key = _partition_keys(_forest_labels(nadirs[cols], width))
+                r_order, c_order = np.argsort(r_key), np.argsort(c_key)
+                rows, ends, r_key = rows[r_order], ends[r_order], r_key[r_order]
+                cols, c_key = cols[c_order], c_key[c_order]
+                last = np.minimum(np.array(starts) + _CHUNK, len(cols)) - 1
+                bands = zip(np.searchsorted(r_key, c_key[starts], side="left"),
+                            np.searchsorted(r_key, c_key[last], side="right"))
+            edges = (ends[:, :, 0] * width + ends[:, :, 1]).T  # (k, rows)
+            # one row per leaf pair, so a chunk's columns are contiguous
+            vert_table, side_table = nadirs[cols].T.copy(), sides[cols].T.copy()
+            for lo, (a, b) in zip(starts, bands):
+                verts = vert_table[:, lo:lo + _CHUNK][edges[:, a:b]]  # (k, band rows, forests)
+                bijective = (verts >= 0).all(axis=0)
                 if d % 2:
-                    odd = sides[chunk][:, edges].sum(axis=2) % 2 == 1
+                    odd = np.bitwise_xor.reduce(side_table[:, lo:lo + _CHUNK][edges[:, a:b]])
                 else:
-                    odd = np.zeros(bijective.shape, dtype=bool)
-                    for a in range(k):
-                        for b in range(a + 1, k):
-                            odd ^= verts[:, :, a] > verts[:, :, b]
-                out[np.ix_(rows, chunk)] = (bijective * (1 - 2 * odd.astype(np.int8))).T
+                    odd = np.zeros(bijective.shape, dtype=np.int8)
+                for i in range(k):
+                    for j in range(i + 1, k):
+                        bijective &= verts[i] != verts[j]
+                        if not d % 2:
+                            odd ^= verts[i] > verts[j]
+                out[np.ix_(rows[a:b], cols[lo:lo + _CHUNK])] = bijective * (1 - 2 * odd)
     return out
 
 
@@ -233,9 +291,11 @@ def gram_matrix(n: int, k: int, d: int) -> GramMatrix:
 
 def _gram_block(n, k, d, pf):
     """The degree-k long graphs, tall forests and int8 Gram block: pair_matrix,
-    or one pf call per entry, where a value out of int8 range raises."""
-    graphs = enumerate_long_graphs(n, k)
-    forests = enumerate_tall_forests(n, k)
+    or one pf call per entry, where a value out of int8 range raises.  Row
+    and column i are built from the same ordered partition, walked once."""
+    parts = list(ordered_partitions(n, k))
+    graphs = [graph_of_ordered_partition(p, n) for p in parts]
+    forests = [forest_of_ordered_partition(p, n) for p in parts]
     if pf is None:
         return graphs, forests, pair_matrix(graphs, forests, d)
     block = np.zeros((len(graphs), len(forests)), dtype=np.int8)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,7 @@ from confpair.pairing import (GramMatrix, PairingResult, gram_matrix, pair, pair
                               pair_matrix, poincare_coefficients, rank_table, verify_perfect)
 from confpair.trees import Forest, Tree, enumerate_tall_forests, parse_forest
 
-from conftest import basis_count_oracle
+from conftest import all_forests, basis_count_oracle, random_tree_node
 from oracles import PlanarForest, first_degree_bases
 
 
@@ -388,6 +389,28 @@ def test_block_lemma_entries_across_set_partitions_are_zero(d):
 
 
 @pytest.mark.parametrize("d", [2, 3])
+def test_block_lemma_holds_for_every_graph(d):
+    # every multiset of at most n - 1 pairs, so cycles, repeated pairs and
+    # graphs that are not long; edge order and orientation move only signs
+    rng = random.Random(19)
+    checked = 0
+    for n in range(1, 6):
+        forests = [f for k in range(n) for f in enumerate_tall_forests(n, k)]
+        forests += all_forests(n) if n <= 4 else [
+            random_planar_forest(rng, n, rng.randint(1, n)) for _ in range(300)]
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for k in range(n):
+            same_size = [f for f in forests if f.size == k]
+            for edges in itertools.combinations_with_replacement(pairs, k):
+                g = Graph(n, edges)
+                for f in same_size:
+                    if g.components != tree_partition(f):
+                        assert pair_basis(g, f, d).value == 0
+                        checked += 1
+    assert checked == 87661  # entries across two set partitions
+
+
+@pytest.mark.parametrize("d", [2, 3])
 def test_factorization_lemma_entries_are_products_of_top_degree_entries(d):
     top = {}  # (graph, forest) -> T_m entry, for every m <= 6
     for m in range(1, 7):
@@ -563,6 +586,59 @@ def test_pair_matrix_equals_pair_basis_on_random_batches(batch, d):
     assert rows == list(map(list, per_entry(graphs, forests, d)))
     for f, g in zip(forests, matched):
         assert rows[graphs.index(g)][forests.index(f)] in (-1, 1)
+
+
+def random_planar_forest(rng, n, count):
+    """A planar forest on 1..n with count trees of any shape, in any order."""
+    labels = rng.sample(range(1, n + 1), n)
+    bounds = [0, *sorted(rng.sample(range(1, n), count - 1)), n]
+    return PlanarForest(tuple(Tree(random_tree_node(rng, labels[a:b]))
+                              for a, b in zip(bounds, bounds[1:])), n)
+
+
+def random_matched_graph(rng, f):
+    """As matched_graphs, drawn with rng: its pairing with f is nonzero."""
+    edges = []
+    for t in f.trees:
+        stack = [t.node]
+        while stack:
+            node = stack.pop()
+            if not isinstance(node, int):
+                i, j = rng.choice(leaves(node[0])), rng.choice(leaves(node[1]))
+                edges.append((i, j) if rng.random() < 0.5 else (j, i))
+                stack += node
+    rng.shuffle(edges)
+    return Graph(f.n, tuple(edges))
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_pair_matrix_equals_pair_basis_on_banded_batches(n):
+    # more than one chunk of forests with k vertices, so that group is banded
+    rng = random.Random(1900 + n)
+    k = n - 3
+    forests = [random_planar_forest(rng, n, n - k) for _ in range(pairing._CHUNK + 40)]
+    forests += [random_planar_forest(rng, n, rng.randint(1, n)) for _ in range(20)]
+    rng.shuffle(forests)
+    assert len({tree_partition(f) for f in forests if f.size == k}) > 50
+    matched = [random_matched_graph(rng, f) for f in forests]
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    graphs = matched + rng.sample(enumerate_long_graphs(n, k), 20)
+    graphs += [Graph(n, tuple(rng.choices(pairs, k=k))) for _ in range(40)]
+    for _ in range(10):
+        cycle = rng.sample(range(1, n + 1), k)  # a k-cycle, and a pair both ways
+        graphs.append(Graph(n, tuple(zip(cycle, cycle[1:] + cycle[:1]))))
+        graphs.append(Graph(n, tuple(rng.sample(pairs, k - 2)) + ((cycle[0], cycle[1]),
+                                                                  (cycle[1], cycle[0]))))
+    for f, g in zip(forests, matched):  # a cross-tree edge in place of the first
+        if len(f.trees) > 1 and g.edges and rng.random() < 0.2:
+            cross = (f.trees[0].leaf_seq[0], f.trees[-1].leaf_seq[0])
+            graphs.append(Graph(n, (cross,) + g.edges[1:]))
+    rng.shuffle(graphs)
+    for d in range(2, 6):
+        rows = pair_matrix(graphs, forests, d).tolist()
+        assert rows == list(map(list, per_entry(graphs, forests, d)))
+        for f, g in zip(forests, matched):
+            assert rows[graphs.index(g)][forests.index(f)] in (-1, 1)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
