@@ -32,12 +32,11 @@ from .errors import ParseError, ValidationError, VerificationFailure
 from .geometry import limit_check
 from .graphs import enumerate_long_graphs, graph_to_json, parse_edges, parse_graph, render_graph
 from .lincombo import LinCombo
-from .normalize import _long_support_size, _support_size, normalize_pois, normalize_siop
-from .operad import (check_duality, cooperad, leibniz_terms, sample_duality, tall_support,
-                     tall_terms)
+from .normalize import (_long_support_size, _support_size, normalize_pois, normalize_siop,
+                        tall_terms)
+from .operad import check_duality, cooperad, leibniz_terms, sample_duality, tall_support
 from .otrees import parse_otree
-from .pairing import (_gram_block, _identity_failures, pair_basis, parity_name,
-                      poincare_coefficients, rank_table, verify_perfect)
+from .pairing import gram_matrix, pair_basis, poincare_coefficients, rank_table, verify_perfect
 from .trees import (MAX_NESTING, Forest, check_degree, enumerate_tall_forests, forest_to_json,
                     parse_forest, render_forest, tree_node_to_json)
 
@@ -231,13 +230,13 @@ def cmd_cooperad(args):
 
 def cmd_gram(args):
     _check_budget(args.n, args.k, lambda size, n: size ** 2, "entries")
-    _, _, block = _gram_block(args.n, args.k, args.d, None)
-    identity = not _identity_failures(block)
+    gm = gram_matrix(args.n, args.k, args.d)
+    identity = gm.is_identity()
     _emit(args,
-          lambda: [" ".join(f"{v:2d}" for v in row.tolist()) for row in block]
+          lambda: [" ".join(f"{v:2d}" for v in row.tolist()) for row in gm.entries]
           + [f"identity: {identity}"],
-          lambda: {"n": args.n, "k": args.k, "parity": parity_name(args.d), "identity": identity,
-                   "entries": block.tolist()})
+          lambda: {"n": args.n, "k": args.k, "parity": gm.parity, "identity": identity,
+                   "entries": gm.entries.tolist()})
     if not identity:
         raise VerificationFailure(f"Gram matrix n={args.n} k={args.k} is not the identity")
     return 0

@@ -103,27 +103,45 @@ def _support_size(f: Forest) -> int:
     return math.prod(2 ** (t.size - len(t.leaf_paths[t.min_label])) for t in f.trees)
 
 
+def tall_terms(terms, n: int, d: int) -> LinCombo:
+    """The tall normalization of (coeff, trees) terms, each term's trees
+    sorted by minimum label: each tree's chains (_tall_chains) are listed
+    once per distinct node, and each term of their product is one Forest.
+    A tree is a Tree or any tree node with its min_label."""
+    chains = {}
+
+    def listed(block):
+        got = chains.get(block.node)
+        if got is None:
+            got = chains[block.node] = [(tree_from_leaf_order(order), sign)
+                                        for order, sign in _tall_chains(block, d)]
+        return got
+    out = []
+    for c, blocks in terms:
+        for picks in itertools.product(*map(listed, blocks)):
+            trees, signs = zip(*picks)
+            out.append((Forest(trees, n), c * math.prod(signs)))
+    return LinCombo(out)
+
+
 def normalize_pois(x, d: int) -> LinCombo:
     """Express a forest combination in the tall basis; idempotent and linear.
 
     Each forest f but a canonical tall one contributes c * <G_P, f> * F_P
-    for every P in the product of its trees' chains (see _tall_chains).
+    for every P in the product of its trees' chains (see tall_terms).
     """
     combo = LinCombo.of(x)
     sizes = {f.n for f, _ in combo}
     if len(sizes) > 1:
         raise ValidationError(f"mixed n across terms: {sorted(sizes)}")
-    terms = []
+    kept, terms = [], []
     for f, c in combo:
         if type(f) is Forest and f.is_tall:  # a subclass may list its trees out of order
-            terms.append((f, c))
-            continue
-        trees, parity = sort_trees_with_parity(f.trees)
-        c *= eps(parity, d)
-        for chains in itertools.product(*(_tall_chains(t, d) for t in trees)):
-            blocks = tuple(tree_from_leaf_order(order) for order, _ in chains)
-            terms.append((Forest(blocks, f.n), c * math.prod(sign for _, sign in chains)))
-    return LinCombo(terms)
+            kept.append((f, c))
+        else:
+            trees, parity = sort_trees_with_parity(f.trees)
+            terms.append((c * eps(parity, d), trees))
+    return LinCombo([*kept, *tall_terms(terms, next(iter(sizes), 0), d)])
 
 
 # ---------------------------------------------------------------------------

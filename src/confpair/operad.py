@@ -30,8 +30,8 @@ and that anti_sign, times eps of the parity that sorts the trees by
 minimum label.  The r^h terms are distinct forests (each puts the
 siblings' labels with other inner labels), so none cancel, and
 tall_support counts their tall expansions without listing them.  The
-terms stay tree nodes; tall_terms expands each node's chains
-(normalize._tall_chains) once and builds one Forest per output term.
+terms stay tree nodes; normalize.tall_terms expands each node's chains
+once and builds one Forest per output term.
 tests/oracles.py keeps substitution, reduce_expr and normalize_pois as the
 reference.
 
@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import random
 from dataclasses import dataclass
 
@@ -69,16 +68,16 @@ import numpy as np
 from .errors import ValidationError
 from .graphs import Graph, enumerate_long_graphs
 from .lincombo import LinCombo
-from .normalize import _tall_chains, anti_sign, eps
+from .normalize import anti_sign, eps, tall_terms
 from .otrees import LEAF, OTree, leaf_nadir, may_tree, render_otree
 from .pairing import pair_matrix
 from .trees import (Forest, enumerate_tall_forests, inversion_parity, sort_trees_with_parity,
-                    tree_from_leaf_order, vertices_before_leaf)
+                    vertices_before_leaf)
 
 
 class _Block:
     """A tree node with what the closed-form walk reads off it; it has the
-    min_label and size that sort_trees_with_parity and _tall_chains read."""
+    min_label and size that sort_trees_with_parity and tall_terms read."""
 
     __slots__ = ("node", "min_label", "size", "depth")
 
@@ -165,26 +164,6 @@ def tall_support(terms) -> int:
     """How many tall forests tall_terms lists for the terms, without listing
     them: 2^(size - depth of the minimum) per block, multiplied."""
     return sum(2 ** sum(b.size - b.depth for b in blocks) for _, blocks in terms)
-
-
-def tall_terms(terms, n: int, d: int) -> LinCombo:
-    """The tall normalization of leibniz_terms: each block's chains
-    (normalize._tall_chains) are listed once per distinct node, and each
-    term of their product is one Forest."""
-    chains = {}
-
-    def listed(block):
-        got = chains.get(block.node)
-        if got is None:
-            got = chains[block.node] = [(tree_from_leaf_order(order), sign)
-                                        for order, sign in _tall_chains(block, d)]
-        return got
-    out = []
-    for c, blocks in terms:
-        for picks in itertools.product(*map(listed, blocks)):
-            trees, signs = zip(*picks)
-            out.append((Forest(trees, n), c * math.prod(signs)))
-    return LinCombo(out)
 
 
 def compose(b1, i: int, b2, d: int) -> LinCombo:
@@ -321,7 +300,7 @@ def _check_cases(tau: OTree, d: int, cases) -> DualityReport:
     graphs, graph_at = _positions(g for _, _, graphs, _ in cases for g in graphs)
     graphs = list(graphs)
     splits = [cooperad(g, tau, d) for g in graphs]
-    degree = [f0.size + sum(f.size for f in inner.values()) for f0, inner, _, _ in cases]
+    degree = [_degree(f0, inner) for f0, inner, _, _ in cases]
     koszul = np.array([eps(f0.size * (k - f0.size), d) for (f0, *_), k in zip(cases, degree)])
     lhs = np.array([res.sign for res in splits])[graph_at] * koszul[case_at]
     # two-level: cooperad's vertices are the root, then the sites left to right

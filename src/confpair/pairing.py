@@ -16,9 +16,9 @@ sign-permutation torus map realized by the planetary systems.
 Gram matrices over the long-graph x tall-forest bases, the Poincare
 polynomial rank table, and the perfect-pairing verifier live here too.
 Gram entries come from one batch kernel, pair_matrix; pair_basis, one
-entry per call, stays as its oracle.  A Gram block is the int8 array that
-fills, and verify_perfect reads its verdict off that array; only
-gram_matrix converts a block to rows of Python ints.
+entry per call, stays as its oracle.  A Gram block is a GramMatrix whose
+entries are the int8 array that kernel fills; verify_perfect and the CLI
+read their verdicts off it with GramMatrix.failures.
 
 Block lemma: <g, F> = 0 unless the components of g and the trees of F
 partition {1..n} the same way.  It holds for every graph g.  A nonzero
@@ -253,9 +253,16 @@ class GramMatrix:
     n: int
     k: int
     parity: str  # "even" | "odd"
-    entries: tuple  # rows: long graphs, cols: tall forests, canonical order
+    entries: np.ndarray  # int8; rows: long graphs, cols: tall forests, canonical order
     graphs: list = field(default=None, repr=False)
     forests: list = field(default=None, repr=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, GramMatrix):
+            return NotImplemented
+        return ((self.n, self.k, self.parity, self.graphs, self.forests)
+                == (other.n, other.k, other.parity, other.graphs, other.forests)
+                and np.array_equal(self.entries, other.entries))
 
     @property
     def size(self):
@@ -265,44 +272,35 @@ class GramMatrix:
         return not self.failures()
 
     def failures(self):
-        return _identity_failures(np.array(self.entries, ndmin=2))
-
-
-def _identity_failures(block):
-    """(row, col, value) of each entry off the identity, row-major, in Python ints."""
-    rows, cols = np.nonzero(block != np.eye(*block.shape, dtype=block.dtype))
-    return list(zip(rows.tolist(), cols.tolist(), block[rows, cols].tolist()))
+        """(row, col, value) of each entry off the identity, row-major, in Python ints."""
+        block = self.entries
+        rows, cols = np.nonzero(block != np.eye(*block.shape, dtype=block.dtype))
+        return list(zip(rows.tolist(), cols.tolist(), block[rows, cols].tolist()))
 
 
 def parity_name(d: int) -> str:
     return "even" if d % 2 == 0 else "odd"
 
 
-def gram_matrix(n: int, k: int, d: int) -> GramMatrix:
+def gram_matrix(n: int, k: int, d: int, pair_fn=None) -> GramMatrix:
     """Pairing matrix over enumerate_long_graphs x enumerate_tall_forests.
 
-    Rows and columns are both in canonical (ordered partition) order, so the
-    Kronecker property of the pairing makes this the identity.
+    Row and column i are built from the same ordered partition, walked
+    once, so both are in canonical order and the Kronecker property of the
+    pairing makes this the identity.  The entries are pair_matrix's, or one
+    pair_fn call per entry, where a value out of int8 range raises.
     """
-    graphs, forests, block = _gram_block(n, k, d, None)
-    entries = tuple(tuple(row.tolist()) for row in block)  # row by row keeps the peak low
-    return GramMatrix(n, k, parity_name(d), entries, graphs, forests)
-
-
-def _gram_block(n, k, d, pf):
-    """The degree-k long graphs, tall forests and int8 Gram block: pair_matrix,
-    or one pf call per entry, where a value out of int8 range raises.  Row
-    and column i are built from the same ordered partition, walked once."""
     parts = list(ordered_partitions(n, k))
     graphs = [graph_of_ordered_partition(p, n) for p in parts]
     forests = [forest_of_ordered_partition(p, n) for p in parts]
-    if pf is None:
-        return graphs, forests, pair_matrix(graphs, forests, d)
-    block = np.zeros((len(graphs), len(forests)), dtype=np.int8)
-    for r, g in enumerate(graphs):
-        for c, f in enumerate(forests):
-            block[r, c] = pf(g, f, d).value
-    return graphs, forests, block
+    if pair_fn is None:
+        block = pair_matrix(graphs, forests, d)
+    else:
+        block = np.zeros((len(graphs), len(forests)), dtype=np.int8)
+        for r, g in enumerate(graphs):
+            for c, f in enumerate(forests):
+                block[r, c] = pair_fn(g, f, d).value
+    return GramMatrix(n, k, parity_name(d), block, graphs, forests)
 
 
 # ---------------------------------------------------------------------------
@@ -428,15 +426,15 @@ def verify_perfect(n: int, d: int, pair_fn=None, exhaustive=False) -> PerfectRep
         return _dense_report(n, d, pair_fn)
     top = []
     for m in range(1, n + 1):
-        block = _gram_block(m, m - 1, d, pair_fn)[2]
-        failures = _identity_failures(block)
+        gm = gram_matrix(m, m - 1, d, pair_fn)
+        failures = gm.failures()
         if failures:
             if _gram_entries(n, True) > ENTRY_BUDGET:
                 raise VerificationFailure(
                     f"perfect-pairing verification failed for n={n}: T_{m} is not the "
                     f"identity, first at (row, col, value) = {failures[0]}")
             return _dense_report(n, d, pair_fn)
-        top.append(len(block))
+        top.append(gm.size)
     sizes = _degree_sizes(top)
     return PerfectReport(
         n, parity_name(d), [DegreeReport(k, size, True, []) for k, size in enumerate(sizes)],
@@ -449,15 +447,15 @@ def _dense_report(n, d, pair_fn):
     degrees = []
     first = DegreeReport(1, 0, True, [])  # n = 1 has no degree-1 block
     for k in range(n):
-        graphs, _, block = _gram_block(n, k, d, pair_fn)
-        failures = _identity_failures(block)
-        degrees.append(DegreeReport(k, len(block), not failures, failures))
+        gm = gram_matrix(n, k, d, pair_fn)
+        failures = gm.failures()
+        degrees.append(DegreeReport(k, gm.size, not failures, failures))
         if k == 1:
             # row r and column r come from one ordered partition, so the
             # edge order of the rows re-indexes both
-            lex = sorted(range(len(graphs)), key=lambda r: graphs[r].edges)
+            lex = sorted(range(gm.size), key=lambda r: gm.graphs[r].edges)
             rank = {r: p for p, r in enumerate(lex)}
-            first = DegreeReport(1, len(graphs), not failures,
+            first = DegreeReport(1, gm.size, not failures,
                                  sorted((rank[r], rank[c], v) for r, c, v in failures))
     return PerfectReport(
         n, parity_name(d), degrees,

@@ -350,7 +350,7 @@ def test_positive_degrees_are_at_least_degree_one():
 def test_oversize_input_is_refused_before_any_work(capsys, monkeypatch, argv):
     def no_work(*args, **kwargs):
         raise AssertionError("the guard let the work start")
-    for name in ("poincare_coefficients", "rank_table", "_gram_block",
+    for name in ("poincare_coefficients", "rank_table", "gram_matrix",
                  "enumerate_tall_forests", "enumerate_long_graphs",
                  "check_duality", "sample_duality", "normalize_pois", "normalize_siop",
                  "leibniz_terms", "tall_terms"):

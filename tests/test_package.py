@@ -73,3 +73,11 @@ def test_composition_is_closed_form_and_the_sweep_reads_kernel_blocks():
     path = next(p for p in SOURCES if p.name == "operad.py")
     names = {name.rsplit(".", 1)[-1] for name in imported_modules(path)}
     assert "pair_matrix" in names and not names & {"pair", "pair_basis"}, names
+
+
+def test_the_cli_reads_gram_blocks_through_the_public_api():
+    # one Gram builder: cli.py reads its blocks through gram_matrix, no private helper
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    names = [name.rsplit(".", 1)[-1] for name in imported_modules(path)
+             if name.rsplit(".", 1)[0].endswith("pairing")]
+    assert "gram_matrix" in names and not [n for n in names if n.startswith("_")], names

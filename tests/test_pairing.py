@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -141,7 +143,7 @@ def test_verify_perfect_refuses_n_outside_one_to_seven(monkeypatch, n):
     def no_block(*args):
         raise AssertionError("a Gram block was built")
 
-    monkeypatch.setattr(pairing, "_gram_block", no_block)
+    monkeypatch.setattr(pairing, "gram_matrix", no_block)
     with pytest.raises(ValidationError):
         verify_perfect(n, 2, exhaustive=True)
     if n != 8:
@@ -184,12 +186,12 @@ def flip_two_edges(g, f, d):
 
 
 def test_verify_perfect_reads_each_degree_off_one_gram_matrix(monkeypatch):
-    """Both paths take each degree's verdict from _identity_failures, and the
+    """Both paths take each degree's verdict from GramMatrix.failures, and the
     default path looks pair_matrix up when it is called."""
     monkeypatch.setattr("confpair.pairing.pair_matrix", flip_two_edge_rows)
     assert not verify_perfect(3, 2).ok
     assert verify_perfect(3, 2, pair_fn=pair_basis).ok
-    monkeypatch.setattr(pairing, "_identity_failures", lambda block: [])
+    monkeypatch.setattr(GramMatrix, "failures", lambda self: [])
     assert verify_perfect(3, 2).ok
     assert verify_perfect(3, 2, pair_fn=flip_two_edges).ok
 
@@ -300,10 +302,8 @@ def test_verify_json_prints_the_failures_of_a_corrupted_kernel(capsys, monkeypat
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_gram_reads_its_verdict_off_a_corrupted_kernel(capsys, monkeypatch, fmt):
-    """`gram` prints the kernel's block and exits 3 on it, though the
-    tuple-row verdict it no longer reads is blanked."""
+    """`gram` prints the kernel's block and exits 3 on it."""
     corrupt_the_kernel(monkeypatch, corrupted_entries(5))
-    monkeypatch.setattr(GramMatrix, "failures", lambda self: [])
     assert main(["gram", "--n", "5", "--k", "2", "--d", "2", "--format", fmt]) == 3
     out = capsys.readouterr()
     assert out.err == "verification failure: Gram matrix n=5 k=2 is not the identity\n"
@@ -318,24 +318,29 @@ def test_gram_reads_its_verdict_off_a_corrupted_kernel(capsys, monkeypatch, fmt)
     assert (len(rows), rows[1][1], rows[0][2], rows[0][0]) == (35, 0, -1, 1)
 
 
-def test_verify_perfect_builds_no_gram_matrix(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("verify_perfect built a GramMatrix")
-
-    monkeypatch.setattr(pairing, "GramMatrix", refuse)
-    for n in range(1, 7):
-        for d in (2, 3):
-            assert verify_perfect(n, d).ok
-
-
 @pytest.mark.parametrize("n", range(1, 6))
-def test_gram_matrix_entries_are_rows_of_python_ints(n):
+def test_gram_matrix_entries_are_the_kernels_int8_block(n):
     for k in range(n):
         for d in (2, 3):
             gm = gram_matrix(n, k, d)
-            assert type(gm.entries) is tuple and all(type(row) is tuple for row in gm.entries)
-            assert all(type(v) is int for row in gm.entries for v in row)
-            assert list(map(list, gm.entries)) == pair_matrix(gm.graphs, gm.forests, d).tolist()
+            assert type(gm.entries) is np.ndarray and gm.entries.dtype == np.int8
+            assert np.array_equal(gm.entries, pair_matrix(gm.graphs, gm.forests, d))
+            flipped = dataclasses.replace(gm, entries=-gm.entries)
+            failures = flipped.failures()
+            assert failures == [(r, r, -1) for r in range(gm.size)]
+            assert all(type(x) is int for t in failures for x in t)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_gram_matrices_compare_by_value(d):
+    a, b = gram_matrix(5, 2, d), gram_matrix(5, 2, d)
+    assert a.entries is not b.entries
+    assert a == b and (a != b) is False
+    entries = b.entries.copy()
+    entries[3, 4] = -1
+    flipped = dataclasses.replace(b, entries=entries)
+    assert a != flipped and not a == flipped
+    assert a != gram_matrix(5, 2, 5 - d)  # the same entries at the other parity
 
 
 def test_first_degree_bases_count():
@@ -646,13 +651,13 @@ def test_pair_matrix_equals_pair_basis_on_every_gram_block(n):
     for k in range(n):
         for d in (2, 3):
             gm = gram_matrix(n, k, d)
-            assert gm.entries == per_entry(gm.graphs, gm.forests, d)
+            assert gm.entries.tolist() == list(map(list, per_entry(gm.graphs, gm.forests, d)))
 
 
 def test_pair_matrix_equals_pair_basis_on_the_n7_blocks_up_to_degree_3():
     for k in range(4):
         gm = gram_matrix(7, k, 2)
-        assert gm.entries == per_entry(gm.graphs, gm.forests, 2)
+        assert gm.entries.tolist() == list(map(list, per_entry(gm.graphs, gm.forests, 2)))
 
 
 def test_pair_matrix_edge_cases():
