@@ -4,28 +4,30 @@ An expression is a tree node plus a product tag: an int i is the variable
 x_i, a pair (a, b) the bracket [a, b], a triple (DOT, a, b) the product
 a.b, so a forest is the product of its trees' nodes.  Each variable
 appears at most once.  A general expression (products inside brackets)
-reduces to forests by the Leibniz rule
+reduces to forests by the graded Leibniz rule, the one Leibniz step of the
+package (operad.leibniz_terms takes its brackets from here too).  With |x|
+the bracket count of x and eps(e) = (-1)^(e(d-1)), [x, -] for one tree x
+is a derivation of degree |x| + d-1:
 
-    [X, Y.Z]  =  [X, Y].Z  +  (-1)^((|X| + d-1)|Y|)  Y.[X, Z]
+    [x, w_1...w_q]  =  sum_b  eps((|x| + 1) |w_<b|)  w_<b [x, w_b] w_>b.
 
-where |X| counts (brackets of X)*(d-1): the operator [X, -] is a derivation
-of degree |X| + d - 1.  In both slots at once, [u_1...u_p, w_1...w_q] sums
-over factor pairs: term (a, b) is w_<b u_<a [w_b, u_a] u_>a w_>b, signed for
-[U, -] passing w_<b, swapping U and w_b, and [w_b, -] passing u_<a (for p =
-1, [u, w_b] with the first sign).  Bracket arguments swap with the
-shifted-degree sign, and product factors reorder into canonical (min-label)
-forest storage with the usual permutation sign on internal vertices.
+A product U = u_1...u_p (p > 1) against one tree swaps first, [U, w] =
+anti_sign(|U|, |w|) [w, U], the derivation [w, -] over U; against a
+product W, [U, -] is the derivation over W of those swapped brackets.
+The step reads blocks (tree nodes with their minimum label and size), and
+reduce_expr builds Trees only after product factors reorder into
+canonical (min-label) forest storage, with the usual permutation sign on
+internal vertices.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 
 from .errors import ValidationError
 from .lincombo import LinCombo
 from .normalize import anti_sign, eps
-from .trees import Forest, Tree, _node_size, sort_trees_with_parity
+from .trees import Forest, Tree, sort_trees_with_parity
 
 DOT = "dot"  # tag of a product triple (DOT, a, b)
 
@@ -54,13 +56,18 @@ def dot(a, b):
 
 
 def dot_list(exprs):
+    if not exprs:
+        raise ValidationError("an empty forest has no bracket expression")
     return functools.reduce(dot, exprs)
 
 
 def expr_vars(e):
-    if _kind(e) == "var":
+    kind = _kind(e)
+    if kind == "var":
         return (e,)
-    return expr_vars(e[-2]) + expr_vars(e[-1])
+    if kind == "br":
+        return expr_vars(e[0]) + expr_vars(e[1])
+    return tuple(v for factor in _dot_factors(e) for v in expr_vars(factor))
 
 
 def render_expr(e):
@@ -79,8 +86,6 @@ def render_expr(e):
 
 def forest_to_expr(f: Forest):
     """Canonical expression of a forest: the product of its trees' nodes."""
-    if not f.trees:
-        raise ValidationError("an empty forest has no bracket expression")
     return dot_list([t.node for t in f.trees])
 
 
@@ -94,41 +99,78 @@ def map_vars(e, fn):
 # ---------------------------------------------------------------------------
 # reduction to forests
 
-def _bracket_monomials(u_trees, w_trees, d):
-    """[U, W] for dot-monomials of tree nodes; a list of (coeff, tree tuple)."""
-    if len(u_trees) == 1 and len(w_trees) == 1:
-        return [(1, ((u_trees[0], w_trees[0]),))]
-    u_before = list(itertools.accumulate(map(_node_size, u_trees), initial=0))  # |u_<a|
-    bu, w_before, out = u_before[-1], 0, []
-    for b, w in enumerate(w_trees):
-        bw = _node_size(w)
-        head, tail = w_trees[:b], w_trees[b + 1:]
-        s = eps((bu + 1) * w_before, d)
-        w_before += bw
-        if len(u_trees) == 1:
-            out.append((s, head + ((u_trees[0], w),) + tail))
-        else:  # [U, w_b] = anti_sign * [w_b, U], expanded over U's factors
-            s *= anti_sign(bu, bw, d)
-            out += [(s * eps((bw + 1) * u_before[a], d),
-                     head + u_trees[:a] + ((w, u),) + u_trees[a + 1:] + tail)
-                    for a, u in enumerate(u_trees)]
+class _Block:
+    """A tree node with what the Leibniz step and tall_terms read off it: its
+    min_label and size (the keys of sort_trees_with_parity) and depth."""
+
+    __slots__ = ("node", "min_label", "size", "depth")
+
+    def __init__(self, node, min_label: int, size: int, depth: int):
+        self.node = node
+        self.min_label = min_label
+        self.size = size
+        self.depth = depth  # of the minimum leaf: 2^(size - depth) tall chains
+
+
+def _join(a: _Block, b: _Block) -> _Block:
+    """The bracket [a, b]."""
+    low = a if a.min_label < b.min_label else b
+    return _Block((a.node, b.node), low.min_label, a.size + b.size + 1, low.depth + 1)
+
+
+def _block(node, relabel) -> _Block:
+    """node with each label v replaced by relabel(v), read in one walk."""
+    if isinstance(node, int):
+        v = relabel(node)
+        return _Block(v, v, 0, 0)
+    return _join(_block(node[0], relabel), _block(node[1], relabel))
+
+
+def _bracket_monomials(us, ws, d):
+    """[U, W] for products of blocks (see the module docstring); a list of
+    (coeff, block tuple), the swap sign taken once per bracket."""
+    if len(us) > 1 < len(ws):  # [U, -] is a derivation over W
+        size, out, before = sum(u.size for u in us), [], 0
+        for b, w in enumerate(ws):
+            s, head, tail = eps((size + 1) * before, d), ws[:b], ws[b + 1:]
+            before += w.size
+            out += [(s * c, head + bs + tail) for c, bs in _bracket_monomials(us, (w,), d)]
+        return out
+    if len(us) == 1:
+        s, x, factors = 1, us[0], ws
+    else:  # [U, w] = anti_sign(|U|, |w|) [w, U]
+        s, x, factors = anti_sign(sum(u.size for u in us), ws[0].size, d), ws[0], us
+    out, before = [], 0
+    for a, f in enumerate(factors):  # [x, -] is a derivation
+        out.append((s * eps((x.size + 1) * before, d),
+                    factors[:a] + (_join(x, f),) + factors[a + 1:]))
+        before += f.size
     return out
 
 
+def _dot_factors(e):
+    """The factors of e's left-nested product spine, left to right."""
+    out = []
+    while _kind(e) == DOT:
+        out.append(e[2])
+        e = e[1]
+    out.append(e)
+    return out[::-1]
+
+
 def _reduce_monomials(e, d):
-    """Expression -> list of (coeff, tuple of tree nodes in product order)."""
+    """Expression -> list of (coeff, tuple of blocks in product order)."""
     kind = _kind(e)
     if kind == "var":
-        return [(1, (e,))]
-    left = _reduce_monomials(e[-2], d)
-    right = _reduce_monomials(e[-1], d)
-    if kind == DOT:
-        return [(ca * cb, ta + tb) for ca, ta in left for cb, tb in right]
-    out = []
-    for ca, ta in left:
-        for cb, tb in right:
-            for c, trees in _bracket_monomials(ta, tb, d):
-                out.append((ca * cb * c, trees))
+        return [(1, (_Block(e, e, 0, 0),))]
+    if kind == "br":
+        left, right = _reduce_monomials(e[0], d), _reduce_monomials(e[1], d)
+        return [(ca * cb * c, blocks) for ca, ta in left for cb, tb in right
+                for c, blocks in _bracket_monomials(ta, tb, d)]
+    out = [(1, ())]
+    for factor in _dot_factors(e):
+        right = _reduce_monomials(factor, d)
+        out = [(ca * cb, ta + tb) for ca, ta in out for cb, tb in right]
     return out
 
 
@@ -141,9 +183,9 @@ def reduce_expr(e, d: int) -> LinCombo:
     if set(labels) != set(range(1, n + 1)):
         raise ValidationError(f"expression variables {sorted(labels)} not contiguous 1..{n}")
     terms = []
-    for coeff, tree_nodes in _reduce_monomials(e, d):
-        ordered, parity = sort_trees_with_parity(tuple(Tree(t) for t in tree_nodes))
-        terms.append((Forest(ordered, n), coeff * eps(parity, d)))
+    for coeff, blocks in _reduce_monomials(e, d):
+        ordered, parity = sort_trees_with_parity(blocks)
+        terms.append((Forest(tuple(Tree(b.node) for b in ordered), n), coeff * eps(parity, d)))
     return LinCombo(terms)
 
 

@@ -14,24 +14,18 @@ composition therefore carries the Koszul factor
 is trivial for odd d, and with it the nested and disjoint composition
 axioms hold (disjoint sites commute up to (-1)^((d-1)|x||y|)).
 
-The Leibniz reduction is one closed-form sum (leibniz_terms), read on tree
-nodes from the bottom bracket over leaf i up to its root.  Below a bracket
-with sibling S the leaf side is a product W = w_1...w_r (w_a is u_a with
-the siblings that picked it bracketed on), with |W| = |inner| plus |S|+1
-per lower bracket.  [S, -] is a derivation of degree |S| + d-1, so
-
-    [S, w_1...w_r]  =  sum_a  eps((|S|+1) |w_<a|)  w_<a [S, w_a] w_>a,
-
-eps(e) = (-1)^(e(d-1)).  With the leaf on the left, [W, S] = anti_sign(|W|,
-|S|) [S, W] for r > 1 first (for r = 1 the tree (w_1, S) stays as it is).
-So each of the h brackets picks one factor, and a term's sign is the
-Koszul factor times, per bracket, eps((|S|+1) |factors before the pick|)
-and that anti_sign, times eps of the parity that sorts the trees by
-minimum label.  The r^h terms are distinct forests (each puts the
-siblings' labels with other inner labels), so none cancel, and
-tall_support counts their tall expansions without listing them.  The
-terms stay tree nodes; normalize.tall_terms expands each node's chains
-once and builds one Forest per output term.
+The Leibniz reduction (leibniz_terms) walks tree nodes from the bottom
+bracket over leaf i up to its root.  Below a bracket with sibling S the
+leaf side is a product W of r blocks (w_a is u_a with the siblings that
+picked it bracketed on), and the bracket is one brackets._bracket_monomials
+step, [W, S] or [S, W], which picks one factor with the Leibniz sign
+derived there.  A term's sign is the Koszul factor times its h steps'
+signs, times eps of the parity that sorts the trees by minimum label.
+The r^h terms are distinct forests (each puts the siblings' labels with
+other inner labels), so none cancel, and tall_support counts their tall
+expansions without listing them.  The terms stay blocks;
+normalize.tall_terms expands each node's chains once and builds one
+Forest per output term.
 tests/oracles.py keeps substitution, reduce_expr and normalize_pois as the
 reference.
 
@@ -65,41 +59,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .brackets import _block, _bracket_monomials
 from .errors import ValidationError
 from .graphs import Graph, enumerate_long_graphs
 from .lincombo import LinCombo
-from .normalize import anti_sign, eps, tall_terms
+from .normalize import eps, tall_terms
 from .otrees import LEAF, OTree, leaf_nadir, may_tree, render_otree
 from .pairing import pair_matrix
 from .trees import (Forest, enumerate_tall_forests, inversion_parity, sort_trees_with_parity,
                     vertices_before_leaf)
-
-
-class _Block:
-    """A tree node with what the closed-form walk reads off it; it has the
-    min_label and size that sort_trees_with_parity and tall_terms read."""
-
-    __slots__ = ("node", "min_label", "size", "depth")
-
-    def __init__(self, node, min_label: int, size: int, depth: int):
-        self.node = node
-        self.min_label = min_label
-        self.size = size
-        self.depth = depth  # of the minimum leaf: 2^(size - depth) tall chains
-
-
-def _join(a: _Block, b: _Block) -> _Block:
-    """The bracket [a, b]."""
-    low = a if a.min_label < b.min_label else b
-    return _Block((a.node, b.node), low.min_label, a.size + b.size + 1, low.depth + 1)
-
-
-def _block(node, relabel) -> _Block:
-    """node with each label v replaced by relabel(v), read in one walk."""
-    if isinstance(node, int):
-        v = relabel(node)
-        return _Block(v, v, 0, 0)
-    return _join(_block(node[0], relabel), _block(node[1], relabel))
 
 
 def _root_path(node, i):
@@ -116,7 +84,7 @@ def _root_path(node, i):
 
 
 def leibniz_terms(f1: Forest, i: int, f2: Forest, d: int) -> list:
-    """The Leibniz expansion of f2 substituted at leaf i of f1, in closed form.
+    """The Leibniz expansion of f2 substituted at leaf i of f1.
 
     A list of (coeff, blocks): blocks are the trees of one term sorted by
     minimum label, the sort parity and the Koszul factor in coeff.  Each
@@ -139,20 +107,10 @@ def leibniz_terms(f1: Forest, i: int, f2: Forest, d: int) -> list:
         else:
             (before if path is None else after).append(_block(t.node, shift))
     terms = [(eps(f2.size * vertices_before_leaf(f1, i), d), factors)]
-    r, total = len(factors), f2.size  # total: vertices of the r factors
     for node, leaf_left in path:
-        sib = _block(node, shift)
-        swap = anti_sign(total, sib.size, d) if leaf_left and r > 1 else 1
-        grown = []
-        for c, fs in terms:
-            picked = 0  # vertices of the factors before the pick
-            for a, u in enumerate(fs):
-                new = _join(u, sib) if leaf_left and r == 1 else _join(sib, u)
-                grown.append((c * swap * eps((sib.size + 1) * picked, d),
-                              fs[:a] + (new,) + fs[a + 1:]))
-                picked += u.size
-        terms = grown
-        total += sib.size + 1
+        sib = (_block(node, shift),)
+        terms = [(c * c2, grown) for c, fs in terms for c2, grown in
+                 (_bracket_monomials(fs, sib, d) if leaf_left else _bracket_monomials(sib, fs, d))]
     out = []
     for c, fs in terms:
         blocks, parity = sort_trees_with_parity((*before, *fs, *after))

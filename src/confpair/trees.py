@@ -24,13 +24,6 @@ LEFT, RIGHT = 0, 1
 MAX_NESTING = 500  # deepest nesting the parsers accept; walks recurse once per level
 
 
-def _node_size(node):
-    """Internal vertex count of a tree node."""
-    if isinstance(node, int):
-        return 0
-    return _node_size(node[0]) + _node_size(node[1]) + 1
-
-
 def _walk_leaves(node, out):
     """Append the leaves of node to out, left to right; the one check of its shape."""
     if isinstance(node, int):
@@ -145,13 +138,9 @@ def sort_trees_with_parity(trees):
     concatenated internal-vertex sequence).  Moving a tree block of a
     vertices past one of b vertices contributes a*b transpositions.
     """
-    order = sorted(range(len(trees)), key=lambda idx: trees[idx].min_label)
-    inv = 0
-    for pos_b, idx_b in enumerate(order):
-        for idx_a in order[pos_b + 1:]:
-            if idx_a < idx_b:  # originally before, now after
-                inv += trees[idx_a].size * trees[idx_b].size
-    return tuple(trees[idx] for idx in order), inv % 2
+    inv = sum(a.size * b.size for k, a in enumerate(trees) for b in trees[k + 1:]
+              if a.min_label > b.min_label)  # a was before b, and goes after it
+    return tuple(sorted(trees, key=lambda t: t.min_label)), inv % 2
 
 
 @dataclass(frozen=True)

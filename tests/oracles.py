@@ -22,15 +22,22 @@ Arnold step pushes a subtree one level deeper, so the depth-sum measure
 terminates at disjoint chains, which are then ordered canonically.  Its
 correctness is certified by the pairing, not by a critical-pair analysis.
 
-Leibniz reduction.  brackets._bracket_monomials reads [U, W] for two
-monomials as one closed-form sum over factor pairs; the reference here
-(bracket_monomials) applies the Leibniz rule one factor at a time, through
-a recursion that swaps its arguments when U has several factors.
+Leibniz reduction.  brackets._bracket_monomials is the package's one
+Leibniz step, on blocks, with its signs derived in brackets.py; the
+reference here (bracket_monomials) applies the rule to bare tree nodes one
+factor of W at a time,
 
-Composition.  operad.compose reads the Leibniz expansion of a substitution
-as one closed-form sum on tree nodes; the reference here
-(compose_by_substitution) substitutes bracket expressions, reduces them with
-brackets.reduce_expr and normalizes with normalize_pois.  operad's duality
+    [X, Y.Z]  =  [X, Y].Z  +  eps((|X| + 1) |Y|)  Y.[X, Z],
+
+recounting each size with _node_size, and swaps its arguments when U has
+several factors.
+
+Composition.  operad.compose takes the Leibniz expansion of a substitution
+one bracket over the leaf at a time, each bracket one step; the reference
+here (compose_by_substitution) substitutes bracket expressions, reduces
+them with brackets.reduce_expr and normalizes with normalize_pois.  Both
+routes share the step, so this checks the walk, the Koszul factor and the
+tall expansion, and bracket_monomials checks the step.  operad's duality
 sweep reads both sides off pair_matrix blocks; the reference (check_cases)
 checks one case at a time with pair_basis and pair, over the cases that
 exhaustive_cases and sampled_cases list in check_duality's and
@@ -61,7 +68,7 @@ from confpair.normalize import anti_sign, eps, normalize_pois, reversal_sign
 from confpair.operad import DualityReport, cooperad, two_level_sites
 from confpair.otrees import render_otree
 from confpair.pairing import pair, pair_basis
-from confpair.trees import (Forest, Tree, _node_size, enumerate_tall_forests, inversion_parity,
+from confpair.trees import (Forest, Tree, enumerate_tall_forests, inversion_parity,
                             single_tree_forest, sort_trees_with_parity, vertices_before_leaf)
 
 
@@ -78,6 +85,13 @@ class PlanarForest(Forest):
 
 # ---------------------------------------------------------------------------
 # tree rewriting onto the tall basis
+
+def _node_size(node):
+    """Internal vertex count of a tree node."""
+    if isinstance(node, int):
+        return 0
+    return _node_size(node[0]) + _node_size(node[1]) + 1
+
 
 def jacobi_signs(a1: int, a2: int, a3: int, d: int):
     """Signs (s1, s2, s3) of [[T1,T2],T3], [[T2,T3],T1], [[T3,T1],T2]."""

@@ -4,11 +4,12 @@ import random
 import pytest
 
 from conftest import all_tree_nodes, set_partitions
-from confpair.brackets import (DOT, _bracket_monomials, br, dot, dot_list, forest_to_expr,
-                               map_vars, reduce_bracket, reduce_expr, render_expr, var)
+from confpair.brackets import (DOT, _block, _bracket_monomials, br, dot, dot_list,
+                               forest_to_expr, map_vars, reduce_bracket, reduce_expr,
+                               render_expr, var)
 from confpair.errors import ValidationError
 from confpair.lincombo import LinCombo
-from confpair.trees import parse_forest, render_forest
+from confpair.trees import Forest, Tree, parse_forest, render_forest
 from oracles import bracket_monomials
 
 
@@ -142,10 +143,25 @@ def _monomials(n):
             yield from itertools.product(*(list(all_tree_nodes(b)) for b in order))
 
 
+def _blocks(nodes):
+    return tuple(_block(node, int) for node in nodes)
+
+
+def _read(blocks):
+    """The tree nodes of blocks, after checking that each block's min_label,
+    size and depth are the ones of its node read afresh."""
+    for b in blocks:
+        fresh = _block(b.node, int)
+        assert (b.min_label, b.size, b.depth) == (fresh.min_label, fresh.size, fresh.depth)
+    return tuple(b.node for b in blocks)
+
+
 def test_bracket_monomials_match_one_factor_at_a_time():
-    """The closed-form sum over factor pairs is the Leibniz recursion's list,
-    order included: on seeded random monomials with p, q <= 4 factors, and on
-    every split of a product of tree nodes on <= 4 labels into U and W."""
+    """The step on blocks is the Leibniz recursion's list on tree nodes,
+    order included: on seeded random monomials with p, q <= 4 factors, on
+    every split of a product of tree nodes on <= 4 labels into U and W, and
+    on the shapes composition uses, one sibling of up to 4 vertices against
+    1-4 factors on either side."""
     rng = random.Random(14)
     pairs = []
     for _ in range(1500):
@@ -158,6 +174,30 @@ def test_bracket_monomials_match_one_factor_at_a_time():
     for n in range(2, 5):
         for mono in _monomials(n):
             pairs += [(mono[:k], mono[k:]) for k in range(1, len(mono))]
+    for _ in range(600):
+        r, sib_size = rng.randint(1, 4), rng.randint(0, 4)
+        labels = list(range(1, r + sib_size + rng.randint(1, 6) + 1))
+        rng.shuffle(labels)
+        sib = (_random_node(labels[:sib_size + 1], rng),)
+        factors = _random_monomial(labels[sib_size + 1:], r, rng)
+        pairs += [(factors, sib), (sib, factors)]
     for u, w in pairs:
         for d in (2, 3, 4, 5):
-            assert _bracket_monomials(u, w, d) == bracket_monomials(u, w, d), (u, w, d)
+            got = _bracket_monomials(_blocks(u), _blocks(w), d)
+            want = bracket_monomials(u, w, d)
+            assert [(c, _read(blocks)) for c, blocks in got] == want, (u, w, d)
+
+
+def test_long_products_reduce_without_recursion():
+    # the product spine of a forest's expression nests once per tree
+    for n in (900, 1200):
+        f = Forest(tuple(Tree(v) for v in range(1, n + 1)), n)
+        for d in (2, 3):
+            assert reduce_expr(forest_to_expr(f), d) == LinCombo.single(f)
+
+
+def test_an_empty_product_is_refused():
+    with pytest.raises(ValidationError, match="an empty forest has no bracket expression"):
+        dot_list([])
+    with pytest.raises(ValidationError, match="an empty forest has no bracket expression"):
+        forest_to_expr(Forest((), 0))

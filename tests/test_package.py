@@ -81,3 +81,18 @@ def test_the_cli_reads_gram_blocks_through_the_public_api():
     names = [name.rsplit(".", 1)[-1] for name in imported_modules(path)
              if name.rsplit(".", 1)[0].endswith("pairing")]
     assert "gram_matrix" in names and not [n for n in names if n.startswith("_")], names
+
+
+def test_composition_takes_its_leibniz_step_from_brackets():
+    # one graded-Leibniz step: the block type and the step live in brackets.py
+    defined = {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                defined.setdefault(node.name, []).append(path.name)
+    assert defined["_Block"] == ["brackets.py"], defined["_Block"]
+    assert defined["_bracket_monomials"] == ["brackets.py"], defined["_bracket_monomials"]
+    operad = {name for name, paths in defined.items() if "operad.py" in paths}
+    assert not operad & {"_Block", "_join", "_block"}, operad
+    path = next(p for p in SOURCES if p.name == "operad.py")
+    assert "brackets._bracket_monomials" in list(imported_modules(path))
