@@ -74,14 +74,16 @@ def render_expr(e):
     kind = _kind(e)
     if kind == "var":
         return f"x{e}"
-    left, right = render_expr(e[-2]), render_expr(e[-1])
     if kind == "br":
-        return f"[{left},{right}]"
-    if _kind(e[1]) == DOT:
-        left = f"({left})"
-    if _kind(e[2]) == DOT:
-        right = f"({right})"
-    return f"{left}*{right}"
+        return f"[{render_expr(e[0])},{render_expr(e[1])}]"
+    first, *rest = _dot_factors(e)
+    out = render_expr(first)
+    for b, factor in enumerate(rest):  # a product factor renders in parentheses
+        right = render_expr(factor)
+        if _kind(factor) == DOT:
+            right = f"({right})"
+        out = f"({out})*{right}" if b else f"{out}*{right}"
+    return out
 
 
 def forest_to_expr(f: Forest):
@@ -91,9 +93,12 @@ def forest_to_expr(f: Forest):
 
 def map_vars(e, fn):
     """Replace each variable v of e by the expression fn(v)."""
-    if _kind(e) == "var":
+    kind = _kind(e)
+    if kind == "var":
         return fn(e)
-    return e[:-2] + (map_vars(e[-2], fn), map_vars(e[-1], fn))  # e[:-2]: () or (DOT,)
+    if kind == "br":
+        return (map_vars(e[0], fn), map_vars(e[1], fn))
+    return functools.reduce(dot, [map_vars(factor, fn) for factor in _dot_factors(e)])
 
 
 # ---------------------------------------------------------------------------

@@ -103,12 +103,19 @@ def _support_size(f: Forest) -> int:
     return math.prod(2 ** (t.size - len(t.leaf_paths[t.min_label])) for t in f.trees)
 
 
-def tall_terms(terms, n: int, d: int) -> LinCombo:
+def tall_terms(terms, n: int, d: int, _table=None) -> LinCombo:
     """The tall normalization of (coeff, trees) terms, each term's trees
     sorted by minimum label: each tree's chains (_tall_chains) are listed
     once per distinct node, and each term of their product is one Forest.
-    A tree is a Tree or any tree node with its min_label."""
-    chains = {}
+    A tree is a Tree or any tree node with its min_label.
+
+    _table, internal: a (chains, forests) pair of dicts that calls at one d
+    share, node -> signed chains and tuple of trees -> Forest, so each is
+    built once across the calls.  Sharing is sound because a node's chains
+    depend only on the node and d, and a tuple of trees fixes the n that
+    its Forest partitions.  Without it each call keeps its own chains and
+    builds every Forest afresh."""
+    chains, forests = ({}, None) if _table is None else _table
 
     def listed(block):
         got = chains.get(block.node)
@@ -120,7 +127,11 @@ def tall_terms(terms, n: int, d: int) -> LinCombo:
     for c, blocks in terms:
         for picks in itertools.product(*map(listed, blocks)):
             trees, signs = zip(*picks)
-            out.append((Forest(trees, n), c * math.prod(signs)))
+            if forests is None:
+                f = Forest(trees, n)
+            elif (f := forests.get(trees)) is None:
+                f = forests[trees] = Forest(trees, n)
+            out.append((f, c * math.prod(signs)))
     return LinCombo(out)
 
 

@@ -40,7 +40,10 @@ first) to the input edge order.  Duality then holds in the form
       =  <G, compose_along(tau; F_0, F_*)>
 
 with the composed side assembled by iterated composition, rightmost site
-first.  check_duality verifies this for every case, splitting each graph
+first.  check_duality verifies this for every case, composing each basis
+triple once, through tall_terms with one intern table per call that builds
+each node's chains and each output Forest once: chains depend only on the
+node and d, and a tuple of trees fixes its Forest's n.  It splits each graph
 once, and reads both sides off pairing.pair_matrix blocks over what the
 cases use: the left side as a product of factor entries, the right side
 as the block of a degree times the composed coefficients.  Block entries
@@ -160,12 +163,6 @@ def cooperad(g: Graph, tau: OTree, d: int) -> CooperadOutput:
     return CooperadOutput(sign, vertices, factors)
 
 
-def cooperad_combo(x, tau: OTree, d: int) -> LinCombo:
-    """Bilinear extension: LinCombo over factor tuples."""
-    results = ((cooperad(g, tau, d), c) for g, c in LinCombo.of(x))
-    return LinCombo([(res.factors, c * res.sign) for res, c in results])
-
-
 # ---------------------------------------------------------------------------
 # duality for two-level trees (May structure maps)
 
@@ -245,7 +242,9 @@ def _check_cases(tau: OTree, d: int, cases) -> DualityReport:
     degree, the graphs against the tall forests of the composed supports.
     A case's graphs are checked in order, and so are the cases.
     """
-    basis = functools.cache(lambda f1, i, f2: compose(f1, i, f2, d))
+    table = {}, {}  # tall_terms' chains and forests, shared by this sweep's compositions
+    basis = functools.cache(
+        lambda f1, i, f2: tall_terms(leibniz_terms(f1, i, f2, d), f1.n + f2.n - 1, d, table))
 
     def step(b1, i, f2, d):  # compose, with each basis composition made once
         return LinCombo([(f, c1 * c) for f1, c1 in b1 for f, c in basis(f1, i, f2)])

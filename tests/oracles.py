@@ -335,6 +335,12 @@ def sampled_cases(tau, trials, seed):
             rng.choice(graphs[f0.size + sum(f.size for f in picked)])]
 
 
+def cooperad_combo(x, tau, d: int) -> LinCombo:
+    """operad.cooperad extended bilinearly: a LinCombo over factor tuples."""
+    results = ((cooperad(g, tau, d), c) for g, c in LinCombo.of(x))
+    return LinCombo([(res.factors, c * res.sign) for res, c in results])
+
+
 def check_cases(tau, d, cases) -> DualityReport:
     """The duality sweep one case at a time (the reference for
     operad._check_cases): each graph is split once, its factors are paired

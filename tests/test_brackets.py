@@ -4,13 +4,13 @@ import random
 import pytest
 
 from conftest import all_tree_nodes, set_partitions
-from confpair.brackets import (DOT, _block, _bracket_monomials, br, dot, dot_list,
-                               forest_to_expr, map_vars, reduce_bracket, reduce_expr,
+from confpair.brackets import (DOT, _block, _bracket_monomials, _dot_factors, br, dot,
+                               dot_list, forest_to_expr, map_vars, reduce_bracket, reduce_expr,
                                render_expr, var)
 from confpair.errors import ValidationError
 from confpair.lincombo import LinCombo
 from confpair.trees import Forest, Tree, parse_forest, render_forest
-from oracles import bracket_monomials
+from oracles import bracket_monomials, substitute_basis
 
 
 def as_dict(combo):
@@ -194,6 +194,21 @@ def test_long_products_reduce_without_recursion():
         f = Forest(tuple(Tree(v) for v in range(1, n + 1)), n)
         for d in (2, 3):
             assert reduce_expr(forest_to_expr(f), d) == LinCombo.single(f)
+
+
+def test_long_products_render_and_map_without_recursion():
+    # render_expr, map_vars and the substitution oracle walk the spine in a loop
+    for n in (1200, 3000):
+        f = Forest(tuple(Tree(v) for v in range(1, n + 1)), n)
+        want = "x1"
+        for v in range(2, n + 1):
+            want = f"{want if v == 2 else f'({want})'}*x{v}"
+        assert render_expr(forest_to_expr(f)) == want
+        shifted = map_vars(forest_to_expr(f), lambda v: v + 1)
+        assert _dot_factors(shifted) == list(range(2, n + 2))
+        grafted = Forest((Tree((1, 2)), *(Tree(v) for v in range(3, n + 2))), n + 1)
+        for d in (2, 3):
+            assert substitute_basis(f, 1, parse_forest("[1,2]"), d) == LinCombo.single(grafted)
 
 
 def test_an_empty_product_is_refused():

@@ -4,12 +4,12 @@ from confpair.brackets import br, dot, reduce_bracket, var
 from confpair.graphs import Graph, parse_graph
 from confpair.lincombo import LinCombo
 from confpair.normalize import normalize_pois, normalize_siop
-from confpair.operad import check_duality, compose, compose_along, cooperad_combo
+from confpair.operad import check_duality, compose, compose_along
 from confpair.otrees import parse_otree
 from confpair.trees import parse_forest
 
 from oracles import (antisymmetry_instance, arnold_instance, arrow_reversal_instance,
-                     commutativity_instance, jacobi_instance, normalize_forest)
+                     commutativity_instance, cooperad_combo, jacobi_instance, normalize_forest)
 
 
 def test_add_sub_neg_against_dicts():

@@ -5,21 +5,21 @@ from collections import Counter
 
 import pytest
 
-from confpair import operad
+from confpair import normalize, operad
 from confpair.errors import ValidationError
-from confpair.graphs import Graph, parse_graph, render_graph
+from confpair.graphs import Graph, graph_of_ordered_partition, parse_graph, render_graph
 from confpair.lincombo import LinCombo
 from confpair.normalize import eps, normalize_pois
-from confpair.operad import (all_two_level_trees, check_duality, compose,
-                             compose_along, cooperad, cooperad_combo,
-                             sample_duality, two_level_sites)
+from confpair.operad import (all_two_level_trees, check_duality, compose, compose_along,
+                             cooperad, sample_duality, two_level_sites)
 from confpair.otrees import LEAF, OTree, corolla, graft_tree, may_tree, parse_otree
-from confpair.trees import Forest, Tree, enumerate_tall_forests, parse_forest, render_forest
+from confpair.trees import (Forest, Tree, enumerate_tall_forests, ordered_partition_of_forest,
+                            parse_forest, render_forest)
 
 import oracles
 from conftest import random_forest, reduced_otree_nodes
-from oracles import (PlanarForest, check_cases, compose_by_substitution, exhaustive_cases,
-                     sampled_cases)
+from oracles import (PlanarForest, check_cases, compose_by_substitution, cooperad_combo,
+                     exhaustive_cases, sampled_cases)
 
 
 def as_dict(combo):
@@ -260,6 +260,40 @@ def test_duality_sweep_catches_a_corrupted_pairing_in_every_case(monkeypatch, d)
     corrupted_sweep(monkeypatch, "pair_matrix", negated_rows, d)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_duality_sweep_reads_the_interned_composition(monkeypatch, d):
+    """The sweep's compositions run through tall_terms with its intern table;
+    negating one tall forest there fails exactly the cases whose composed
+    support holds it, against the graph dual to it."""
+    tau, target = parse_otree("((*,*),(*,*,*))"), parse_forest("[[[1,4],3],5] ; 2")
+    dual = graph_of_ordered_partition(ordered_partition_of_forest(target), 5)
+    clean = check_duality(tau, d)
+    assert clean.ok
+    real, tabled = operad.tall_terms, []
+
+    def negated(terms, n, d, *table):
+        tabled.append(bool(table))
+        return LinCombo([(f, -c if f == target else c) for f, c in real(terms, n, d, *table)])
+
+    monkeypatch.setattr(operad, "tall_terms", negated)
+    rep = check_duality(tau, d)
+    cases = [(f0, inner) for f0, inner, _ in exhaustive_cases(tau)
+             if oracles.compose_along_by_substitution(tau, f0, inner, d)[target]]
+    assert tabled and all(tabled)
+    assert rep.cases_checked == clean.cases_checked and len(cases) == 2
+    assert [(c["graph"], c["outer"], c["inner"]) for c in rep.failures] == [
+        (dual, *c) for c in cases]
+    assert all(c["lhs"] == -c["rhs"] != 0 for c in rep.failures)
+
+
+def test_a_sweep_keeps_its_intern_table_to_its_own_call():
+    # chains are signed by d: a table that outlived a call, or ignored d,
+    # would carry the first sweep's signs into the next
+    tau = parse_otree("((*,*),(*,*,*))")
+    for d in (2, 3, 2):
+        assert check_duality(tau, d) == check_cases(tau, d, exhaustive_cases(tau)), d
+
+
 def test_all_two_level_trees_counts():
     assert len(all_two_level_trees(3)) == 4  # compositions of 3
     assert len(all_two_level_trees(5)) == 16
@@ -384,6 +418,26 @@ def test_closed_form_compose_equals_substitution_on_combs(outer, index, inner):
     f1, f2 = parse_forest(outer), parse_forest(inner)
     for d in (2, 3):
         assert compose(f1, index, f2, d) == compose_by_substitution(f1, index, f2, d)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_interned_tall_terms_equal_compose_on_every_tall_pair(d):
+    """One intern table across every tall pair of total arity at most 5, as
+    a duality sweep shares it: the same terms as compose, in the same order,
+    and every interned Forest equal to one built afresh."""
+    table = {}, {}
+    for n in range(1, 6):
+        for m in range(1, 7 - n):
+            for f1, f2 in itertools.product(tall_basis(n), tall_basis(m)):
+                for i in range(1, n + 1):
+                    got = normalize.tall_terms(operad.leibniz_terms(f1, i, f2, d), n + m - 1, d,
+                                               table)
+                    assert list(got) == list(compose(f1, i, f2, d)), (f1, i, f2)
+    chains, forests = table
+    assert chains and forests
+    for trees, f in forests.items():
+        fresh = Forest(trees, sum(len(t.leaf_seq) for t in trees))
+        assert f == fresh and hash(f) == hash(fresh)
 
 
 def test_combs_compose_as_their_size_formulas_say():

@@ -1,6 +1,7 @@
 """The package stands alone: the reference implementations stay on the test side."""
 
 import ast
+from collections.abc import MutableMapping, MutableSequence, MutableSet
 from pathlib import Path
 
 import confpair
@@ -96,3 +97,25 @@ def test_composition_takes_its_leibniz_step_from_brackets():
     assert not operad & {"_Block", "_join", "_block"}, operad
     path = next(p for p in SOURCES if p.name == "operad.py")
     assert "brackets._bracket_monomials" in list(imported_modules(path))
+
+
+MUTABLE = (MutableMapping, MutableSequence, MutableSet)
+
+
+def test_composition_and_normalization_keep_no_module_scope_cache():
+    # a cache shared by every caller outlives the call that filled it; the
+    # duality sweep's intern table lives inside one check_duality call
+    from confpair import normalize, operad
+    for module in (normalize, operad):
+        path = Path(module.__file__)
+        for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            if isinstance(node, ast.FunctionDef):
+                names = {getattr(dec, "id", getattr(dec, "attr", None))
+                         for dec in (getattr(d, "func", d) for d in node.decorator_list)}
+                assert not names & {"cache", "lru_cache"}, (path.name, node.name)
+        for name, value in vars(module).items():
+            if name.startswith("__"):
+                continue
+            for held in value if isinstance(value, tuple) else (value,):
+                assert not isinstance(held, MUTABLE) and not hasattr(held, "cache_info"), (
+                    path.name, name)
