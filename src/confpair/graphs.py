@@ -95,6 +95,14 @@ def ordered_partition_of_graph(g: Graph) -> OrderedPartition:
     return OrderedPartition(blocks)
 
 
+def _unchecked_graph(n: int, edges: tuple) -> Graph:
+    """Graph(n, edges) without its edge checks, for normalize's long terms
+    only: their edges pair vertices of a graph that was checked."""
+    g = object.__new__(Graph)
+    g.__dict__.update(n=n, edges=edges)
+    return g
+
+
 def graph_of_ordered_partition(p: OrderedPartition, n=None) -> Graph:
     edges = [(b[a], b[a + 1]) for b in p.blocks for a in range(len(b) - 1)]
     return Graph(n if n is not None else p.n, tuple(edges))

@@ -19,7 +19,13 @@ with every vertex after its parent (_long_chains).  An oriented edge then
 runs from a leaf to a later one, so sigma_e = -1 exactly for a reversed
 edge of g; and the comb vertices come in in-order, which is the order of
 the heads in P with each block's first element dropped.  So <g, F_P> =
-reversal_sign(flips, inversion parity of the heads' positions, d).
+reversal_sign(flips, inversion parity of the heads' positions, d).  The
+walk reads that parity one vertex at a time: placing v adds the placed
+vertices whose edge comes after v's in g.  Heads in different components
+invert exactly when the later component's edge comes first in g, whatever
+P is, so those inversions are one constant of g.  The walk also lists each
+term's edges, P's consecutive pairs: vertices of the checked g, so the
+term's Graph skips Graph's edge checks (graphs._unchecked_graph).
 
 The rewriting references that the tests check both sides against live in
 tests/oracles.py.
@@ -31,10 +37,9 @@ import itertools
 import math
 
 from .errors import ValidationError
-from .graphs import Graph, graph_of_ordered_partition
+from .graphs import Graph, _unchecked_graph
 from .lincombo import LinCombo
-from .trees import (Forest, OrderedPartition, inversion_parity, sort_trees_with_parity,
-                    tree_from_leaf_order)
+from .trees import Forest, inversion_parity, sort_trees_with_parity, tree_from_leaf_order
 
 
 def eps(exponent: int, d: int) -> int:
@@ -187,16 +192,20 @@ def _orient_away(g: Graph):
     return oriented, sum(parent[j] != i for i, j in g.edges), children
 
 
-def _long_chains(root, children):
-    """The vertex orders P of a component, led by its root, with <g, F_P> != 0:
-    every vertex after its parent, by a depth-first search with no dead end."""
-    stack = [((root,), tuple(children[root]))]
+def _long_chains(root, children, index):
+    """(P's consecutive pairs, inversions) for the vertex orders P of a
+    component, led by its root, with <g, F_P> != 0: every vertex after its
+    parent, by a depth-first search with no dead end.  Placing v adds the
+    placed vertices whose edge comes after v's, at index[v], in g."""
+    stack = [((), root, tuple(children[root]), 0, 0)]
     while stack:
-        order, ready = stack.pop()
+        edges, last, ready, placed, inv = stack.pop()
         if not ready:
-            yield order
+            yield edges, inv
         for a, v in enumerate(ready):
-            stack.append((order + (v,), (*ready[:a], *ready[a + 1:], *children[v])))
+            i = index[v]
+            stack.append((edges + ((last, v),), v, (*ready[:a], *ready[a + 1:], *children[v]),
+                          placed | 1 << i, inv + (placed >> i).bit_count()))
 
 
 def _long_support_size(g: Graph) -> int:
@@ -217,20 +226,26 @@ def _long_support_size(g: Graph) -> int:
     return orders // math.prod(below.values())
 
 
-def normalize_graph(g: Graph, d: int) -> LinCombo:
-    """Sum <g, F_P> * G_P over the product of g's components' chains."""
+def _long_terms(g: Graph, d: int):
+    """(G_P, <g, F_P>) over the product of g's components' chains; `across`
+    is the parity of the inversions between components, a constant of g."""
     oriented = _orient_away(g)
     if oriented is None:
-        return LinCombo.zero()
+        return
     edges, flips, children = oriented
-    terms = []
-    for blocks in itertools.product(*(_long_chains(comp[0], children) for comp in g.components)):
-        # the edge into v pairs with the comb vertex where v joins its block
-        joins = {v: a for a, v in enumerate(v for b in blocks for v in b[1:])}
-        parity = inversion_parity([joins[j] for _, j in edges])
-        terms.append((graph_of_ordered_partition(OrderedPartition(blocks), g.n),
-                      reversal_sign(flips, parity, d)))
-    return LinCombo(terms)
+    index = {j: a for a, (_, j) in enumerate(edges)}
+    comp = {v: c for c, vs in enumerate(g.components) for v in vs}
+    across = inversion_parity([comp[j] for _, j in edges])
+    for picks in itertools.product(*(_long_chains(vs[0], children, index)
+                                     for vs in g.components)):
+        chains, invs = zip(*picks)
+        yield (_unchecked_graph(g.n, sum(chains, ())),
+               reversal_sign(flips, across + sum(invs), d))
+
+
+def normalize_graph(g: Graph, d: int) -> LinCombo:
+    """Sum <g, F_P> * G_P over the product of g's components' chains."""
+    return LinCombo(_long_terms(g, d))
 
 
 def normalize_siop(x, d: int) -> LinCombo:
@@ -239,4 +254,4 @@ def normalize_siop(x, d: int) -> LinCombo:
     sizes = {g.n for g, _ in combo}
     if len(sizes) > 1:
         raise ValidationError(f"mixed n across terms: {sorted(sizes)}")
-    return LinCombo((h, c * ch) for g, c in combo for h, ch in normalize_graph(g, d))
+    return LinCombo((h, c * ch) for g, c in combo for h, ch in _long_terms(g, d))

@@ -21,6 +21,10 @@ a_jk a_kl + a_kl a_lj + a_lj a_jk = 0 eliminates branch vertices.  Each
 Arnold step pushes a subtree one level deeper, so the depth-sum measure
 terminates at disjoint chains, which are then ordered canonically.  Its
 correctness is certified by the pairing, not by a critical-pair analysis.
+normalize_graph reads each long term's edges and sign off its walk; the
+route it replaced builds each term from its vertex orders instead
+(long_terms_by_partition): an OrderedPartition, graph_of_ordered_partition,
+and the inversion parity of g's heads at their comb vertices.
 
 Leibniz reduction.  brackets._bracket_monomials is the package's one
 Leibniz step, on blocks, with its signs derived in brackets.py; the
@@ -62,14 +66,15 @@ import random
 
 from confpair.brackets import forest_to_expr, map_vars, reduce_expr
 from confpair.errors import ValidationError
-from confpair.graphs import Graph, enumerate_long_graphs
+from confpair.graphs import Graph, enumerate_long_graphs, graph_of_ordered_partition
 from confpair.lincombo import LinCombo
 from confpair.normalize import anti_sign, eps, normalize_pois, reversal_sign
 from confpair.operad import DualityReport, cooperad, two_level_sites
 from confpair.otrees import render_otree
 from confpair.pairing import pair, pair_basis
-from confpair.trees import (Forest, Tree, enumerate_tall_forests, inversion_parity,
-                            single_tree_forest, sort_trees_with_parity, vertices_before_leaf)
+from confpair.trees import (Forest, OrderedPartition, Tree, enumerate_tall_forests,
+                            inversion_parity, single_tree_forest, sort_trees_with_parity,
+                            vertices_before_leaf)
 
 
 class PlanarForest(Forest):
@@ -244,6 +249,41 @@ def rewrite_graph(g: Graph, d: int) -> LinCombo:
         work.append((-sign, tuple(word1)))
         # (b,a),(a,v) reversed in place to stay oriented away: two flips
         work.append((-sign * reversal_sign(2, 0, d), tuple(word2)))
+    return LinCombo(terms)
+
+
+def _vertex_orders(root, children):
+    """The vertex orders of a component, led by its root, with every vertex
+    after its parent, in the order normalize's walk lists them."""
+    stack = [((root,), tuple(children[root]))]
+    while stack:
+        order, ready = stack.pop()
+        if not ready:
+            yield order
+        for a, v in enumerate(ready):
+            stack.append((order + (v,), (*ready[:a], *ready[a + 1:], *children[v])))
+
+
+def long_terms_by_partition(g: Graph, d: int) -> LinCombo:
+    """normalize_graph's terms built one vertex order P at a time, the route
+    that its walk replaced: the long graph through OrderedPartition and
+    graph_of_ordered_partition, and the sign from the inversion parity of
+    g's heads' comb vertices (the edge into v pairs with the comb vertex
+    where v joins its block)."""
+    oriented = _orient_from_minima(g)
+    if oriented is None:
+        return LinCombo.zero()
+    edges, flips = oriented
+    children = {v: [] for v in range(1, g.n + 1)}
+    for i, j in edges:  # in g's edge order, as normalize lists them
+        children[i].append(j)
+    terms = []
+    for blocks in itertools.product(*(_vertex_orders(comp[0], children)
+                                      for comp in g.components)):
+        joins = {v: a for a, v in enumerate(v for b in blocks for v in b[1:])}
+        parity = inversion_parity([joins[j] for _, j in edges])
+        terms.append((graph_of_ordered_partition(OrderedPartition(blocks), g.n),
+                      reversal_sign(flips, parity, d)))
     return LinCombo(terms)
 
 

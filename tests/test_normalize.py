@@ -16,7 +16,7 @@ from confpair.trees import (Forest, OrderedPartition, Tree, enumerate_tall_fores
 
 from conftest import (all_forests, all_tree_nodes, random_forest, random_graph_edges,
                       random_tree_node, set_partitions)
-from oracles import PlanarForest, normalize_forest, rewrite_graph
+from oracles import PlanarForest, long_terms_by_partition, normalize_forest, rewrite_graph
 
 
 def as_dict(combo, render):
@@ -400,3 +400,60 @@ def test_long_support_size_counts_the_listed_chains():
     graphs += [random_forest_graph(rng, rng.randint(6, 10)) for _ in range(200)]
     for g in graphs:
         assert _long_support_size(g) == len(normalize_graph(g, 2)), g
+
+
+# ---------------------------------------------------------------------------
+# normalize_graph against the partition route its walk replaced
+
+def seeded_forest_graphs():
+    """200 forest graphs on n = 6..9 vertices with 1 to 4 components."""
+    rng = random.Random(23)
+    graphs = []
+    while len(graphs) < 200:
+        g = random_forest_graph(rng, rng.randint(6, 9))
+        if len(g.components) <= 4:
+            graphs.append(g)
+    return graphs
+
+
+def test_normalize_graph_matches_the_partition_route_on_every_small_word():
+    for g in small_edge_words():
+        for d in (2, 3, 4, 5):
+            assert list(normalize_graph(g, d)) == list(long_terms_by_partition(g, d)), (g, d)
+
+
+def test_normalize_graph_matches_the_partition_route_on_seeded_forests():
+    graphs = seeded_forest_graphs()
+    assert {len(g.components) for g in graphs} == {1, 2, 3, 4}
+    assert {g.n for g in graphs} == {6, 7, 8, 9}
+    for g in graphs:
+        for d in (2, 3):
+            assert list(normalize_graph(g, d)) == list(long_terms_by_partition(g, d)), (g, d)
+
+
+@pytest.mark.parametrize("d, sign", [(2, -1), (3, 1)])
+def test_heads_in_different_components_invert_by_edge_order(d, sign):
+    # 3->4 before 1->2: the head of the later component comes first, one inversion
+    out = normalize_siop(parse_graph("n=4; 3->4, 1->2"), d)
+    assert out == LinCombo.single(parse_graph("n=4; 1->2, 3->4"), sign)
+
+
+# the graphs of tests/test_cli.py's --kind siop inputs
+CLI_SIOP_GRAPHS = ("n=3; 1->2, 2->3", "n=3; 2->3, 3->1", "n=3; 3->1, 1->2", "n=2; 1->2",
+                   "n=2; 2->1", "n=4; 2->1", "n=3; 1->2, 2->1", "n=3; 3->1, 2->1")
+
+
+def test_long_terms_equal_the_checked_graphs_with_their_edges():
+    inputs = [parse_graph(text) for text in CLI_SIOP_GRAPHS] + seeded_forest_graphs()
+    # the cli refuses the star at n = 9 by size, with 1->2 or 1->3 reversed or
+    # neither; the three share their 8! long graphs
+    inputs.append(parse_graph("n=9; 2->1, " + ", ".join(f"1->{j}" for j in range(3, 10))))
+    outputs = 0
+    for g in inputs:
+        for h, _ in normalize_siop(g, 2):
+            checked = Graph(h.n, h.edges)
+            assert type(h) is Graph and h == checked and hash(h) == hash(checked), h
+            assert repr(h) == repr(checked) and h.components == checked.components, h
+            assert h.is_long, h
+            outputs += 1
+    assert outputs > 40320

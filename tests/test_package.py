@@ -119,3 +119,16 @@ def test_composition_and_normalization_keep_no_module_scope_cache():
             for held in value if isinstance(value, tuple) else (value,):
                 assert not isinstance(held, MUTABLE) and not hasattr(held, "cache_info"), (
                     path.name, name)
+
+
+def test_only_normalize_builds_graphs_without_their_checks():
+    # graphs._unchecked_graph skips Graph's edge checks: normalize hands it the
+    # edges of a graph that was checked, and no user input reaches it
+    assert not hasattr(confpair, "_unchecked_graph")
+    users = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            name = getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+            if name == "_unchecked_graph" and not isinstance(node, ast.FunctionDef):
+                users.add(path.name)
+    assert users == {"normalize.py"}, users
