@@ -97,9 +97,11 @@ def ordered_partition_of_graph(g: Graph) -> OrderedPartition:
 
 def _unchecked_graph(n: int, edges: tuple) -> Graph:
     """Graph(n, edges) without its edge checks, for normalize's long terms
-    only: their edges pair vertices of a graph that was checked."""
+    only: their edges pair vertices of a graph that was checked.  The fields
+    are set as the frozen dataclass's own __init__ sets them."""
     g = object.__new__(Graph)
-    g.__dict__.update(n=n, edges=edges)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "edges", edges)
     return g
 
 

@@ -238,7 +238,7 @@ def _long_terms(g: Graph, d: int):
     across = inversion_parity([comp[j] for _, j in edges])
     for picks in itertools.product(*(_long_chains(vs[0], children, index)
                                      for vs in g.components)):
-        chains, invs = zip(*picks)
+        chains, invs = zip(*picks) if picks else ((), ())  # n = 0 has one empty pick
         yield (_unchecked_graph(g.n, sum(chains, ())),
                reversal_sign(flips, across + sum(invs), d))
 

@@ -126,6 +126,12 @@ def test_normalize_siop_stdin_style_combo(capsys):
     assert out.strip() == ""
 
 
+@pytest.mark.parametrize("d", ["2", "3"])
+def test_normalize_siop_keeps_the_empty_graph(capsys, d):
+    code, out, err = run(capsys, ["normalize", "--kind", "siop", "--input", "n=0", "--d", d])
+    assert (code, out, err) == (0, "1 * n=0\n", "")
+
+
 def test_normalize_reads_stdin(capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO("1 * [2,1]\n"))

@@ -431,6 +431,13 @@ def test_normalize_graph_matches_the_partition_route_on_seeded_forests():
             assert list(normalize_graph(g, d)) == list(long_terms_by_partition(g, d)), (g, d)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_the_empty_graph_is_its_own_long_term(d):
+    empty = Graph(0, ())
+    assert list(normalize_graph(empty, d)) == list(long_terms_by_partition(empty, d))
+    assert normalize_graph(empty, d) == normalize_siop(empty, d) == LinCombo.single(empty)
+
+
 @pytest.mark.parametrize("d, sign", [(2, -1), (3, 1)])
 def test_heads_in_different_components_invert_by_edge_order(d, sign):
     # 3->4 before 1->2: the head of the later component comes first, one inversion
