@@ -106,7 +106,9 @@ def map_vars(e, fn):
 
 class _Block:
     """A tree node with what the Leibniz step and tall_terms read off it: its
-    min_label and size (the keys of sort_trees_with_parity) and depth."""
+    min_label and size (the keys of sort_trees_with_parity) and depth.  A
+    Tree carries the same four fields, node, min_label, size and depth, so
+    sorting, normalize's chains and its count take either."""
 
     __slots__ = ("node", "min_label", "size", "depth")
 
@@ -114,7 +116,7 @@ class _Block:
         self.node = node
         self.min_label = min_label
         self.size = size
-        self.depth = depth  # of the minimum leaf: 2^(size - depth) tall chains
+        self.depth = depth  # of the minimum leaf, as Tree.depth
 
 
 def _join(a: _Block, b: _Block) -> _Block:

@@ -32,9 +32,8 @@ from .errors import ParseError, ValidationError, VerificationFailure
 from .geometry import limit_check
 from .graphs import enumerate_long_graphs, graph_to_json, parse_edges, parse_graph, render_graph
 from .lincombo import LinCombo
-from .normalize import (_long_support_size, _support_size, normalize_pois, normalize_siop,
-                        tall_terms)
-from .operad import check_duality, cooperad, leibniz_terms, sample_duality, tall_support
+from .normalize import long_support, normalize_pois, normalize_siop, tall_support, tall_terms
+from .operad import check_duality, cooperad, leibniz_terms, sample_duality
 from .otrees import parse_otree
 from .pairing import gram_matrix, pair_basis, poincare_coefficients, rank_table, verify_perfect
 from .trees import (MAX_NESTING, Forest, check_degree, enumerate_tall_forests, forest_to_json,
@@ -176,9 +175,9 @@ def cmd_pair(args):
 def cmd_normalize(args):
     parse, normalize, render, to_json, support, basis = {
         "pois": (parse_forest, normalize_pois, render_forest, _forest_json(),
-                 _support_size, "tall"),
+                 lambda f: tall_support([(1, f.trees)]), "tall"),
         "siop": (parse_graph, normalize_siop, render_graph, graph_to_json,
-                 _long_support_size, "long"),
+                 long_support, "long"),
     }[args.kind]
     text = args.input if args.input is not None else sys.stdin.read()
     terms = _parse_combo(text, lambda s: parse(s, n=args.n))

@@ -8,7 +8,7 @@ t's leaves from its minimum with distinct nadirs between consecutive leaves
 first makes sigma = -1 on the crossing edge and adds a*b + a + b inversions
 (a, b: the vertex counts of the two sides), so <G_P, t> is the product of
 anti_sign(a, b, d) over those vertices.  A forest is the product of its
-trees, sorted at the cost eps(parity, d); the cost follows the output size.
+trees, sorted at the cost eps(parity, d).
 
 Graph side, by the same identity: the coefficient of G_P in a graph g is
 <g, F_P>.  A cycle or a repeated vertex pair makes g zero.  Otherwise orient
@@ -27,8 +27,9 @@ P is, so those inversions are one constant of g.  The walk also lists each
 term's edges, P's consecutive pairs: vertices of the checked g, so the
 term's Graph skips Graph's edge checks (graphs._unchecked_graph).
 
-The rewriting references that the tests check both sides against live in
-tests/oracles.py.
+tall_support and long_support count the terms of the two expansions
+without listing them.  The rewriting references that the tests check both
+sides against live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ def reversal_sign(flips: int, perm_parity: int, d: int) -> int:
 def _tall_chains(t, d: int):
     """(P, <G_P, t>) for the leaf orders P of t, led by its minimum, with
     <G_P, t> != 0; the sign is the product of anti_sign over the vertices
-    whose right side P enters first, forced or chosen.  t is a Tree or any
-    tree node with its min_label (operad's composition terms).
+    whose right side P enters first, forced or chosen.  t is a Tree or a
+    brackets._Block, which share the record tall_terms reads.
 
     That pairing is nonzero exactly when consecutive leaves of P have
     pairwise distinct nadirs.  An edge lands inside a subtree exactly when
@@ -98,21 +99,12 @@ def _tall_chains(t, d: int):
     return orders(t.node)[1]
 
 
-def _support_size(f: Forest) -> int:
-    """How many tall forests normalize_pois lists for f, without listing them.
-
-    Every vertex off the root path of a tree's minimum may flip: 2^(size -
-    depth of the minimum) chains per tree, multiplied over the trees (1 for
-    a tall forest, which normalize_pois keeps as it is).
-    """
-    return math.prod(2 ** (t.size - len(t.leaf_paths[t.min_label])) for t in f.trees)
-
-
 def tall_terms(terms, n: int, d: int, _table=None) -> LinCombo:
     """The tall normalization of (coeff, trees) terms, each term's trees
     sorted by minimum label: each tree's chains (_tall_chains) are listed
     once per distinct node, and each term of their product is one Forest.
-    A tree is a Tree or any tree node with its min_label.
+    A tree is a Tree or a brackets._Block: both carry node, min_label, size
+    and depth, which is all that sorting, the chains and the count read.
 
     _table, internal: a (chains, forests) pair of dicts that calls at one d
     share, node -> signed chains and tuple of trees -> Forest, so each is
@@ -140,6 +132,21 @@ def tall_terms(terms, n: int, d: int, _table=None) -> LinCombo:
     return LinCombo(out)
 
 
+def tall_support(terms) -> int:
+    """How many tall forests tall_terms lists for the terms, without listing
+    them: every vertex off the root path of a tree's minimum may flip, so
+    2^(size - depth) chains per tree, multiplied (1 for a tall forest)."""
+    return sum(2 ** sum(t.size - t.depth for t in trees) for _, trees in terms)
+
+
+def _common_n(combo) -> int:
+    """The n that every term of a combination has, 0 for an empty one."""
+    sizes = {x.n for x, _ in combo}
+    if len(sizes) > 1:
+        raise ValidationError(f"mixed n across terms: {sorted(sizes)}")
+    return next(iter(sizes), 0)
+
+
 def normalize_pois(x, d: int) -> LinCombo:
     """Express a forest combination in the tall basis; idempotent and linear.
 
@@ -147,9 +154,7 @@ def normalize_pois(x, d: int) -> LinCombo:
     for every P in the product of its trees' chains (see tall_terms).
     """
     combo = LinCombo.of(x)
-    sizes = {f.n for f, _ in combo}
-    if len(sizes) > 1:
-        raise ValidationError(f"mixed n across terms: {sorted(sizes)}")
+    n = _common_n(combo)
     kept, terms = [], []
     for f, c in combo:
         if type(f) is Forest and f.is_tall:  # a subclass may list its trees out of order
@@ -157,7 +162,7 @@ def normalize_pois(x, d: int) -> LinCombo:
         else:
             trees, parity = sort_trees_with_parity(f.trees)
             terms.append((c * eps(parity, d), trees))
-    return LinCombo([*kept, *tall_terms(terms, next(iter(sizes), 0), d)])
+    return LinCombo([*kept, *tall_terms(terms, n, d)])
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +213,8 @@ def _long_chains(root, children, index):
                           placed | 1 << i, inv + (placed >> i).bit_count()))
 
 
-def _long_support_size(g: Graph) -> int:
-    """How many long graphs normalize_graph lists for g, without listing them:
+def long_support(g: Graph) -> int:
+    """How many long graphs normalize_siop lists for g, without listing them:
     per component |C|! over the product of its subtree sizes (the hook-length
     formula for rooted trees), multiplied over the components; 0 for a dead g."""
     oriented = _orient_away(g)
@@ -243,15 +248,8 @@ def _long_terms(g: Graph, d: int):
                reversal_sign(flips, across + sum(invs), d))
 
 
-def normalize_graph(g: Graph, d: int) -> LinCombo:
-    """Sum <g, F_P> * G_P over the product of g's components' chains."""
-    return LinCombo(_long_terms(g, d))
-
-
 def normalize_siop(x, d: int) -> LinCombo:
-    """Express a graph combination in the long basis; kills doubles and cycles."""
+    """Express a graph combination in the long basis (_long_terms); kills doubles and cycles."""
     combo = LinCombo.of(x)
-    sizes = {g.n for g, _ in combo}
-    if len(sizes) > 1:
-        raise ValidationError(f"mixed n across terms: {sorted(sizes)}")
+    _common_n(combo)
     return LinCombo((h, c * ch) for g, c in combo for h, ch in _long_terms(g, d))

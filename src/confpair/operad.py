@@ -22,8 +22,8 @@ step, [W, S] or [S, W], which picks one factor with the Leibniz sign
 derived there.  A term's sign is the Koszul factor times its h steps'
 signs, times eps of the parity that sorts the trees by minimum label.
 The r^h terms are distinct forests (each puts the siblings' labels with
-other inner labels), so none cancel, and tall_support counts their tall
-expansions without listing them.  The terms stay blocks;
+other inner labels), so none cancel, and normalize.tall_support counts
+their tall expansions without listing them.  The terms stay blocks;
 normalize.tall_terms expands each node's chains once and builds one
 Forest per output term.
 tests/oracles.py keeps substitution, reduce_expr and normalize_pois as the
@@ -119,12 +119,6 @@ def leibniz_terms(f1: Forest, i: int, f2: Forest, d: int) -> list:
         blocks, parity = sort_trees_with_parity((*before, *fs, *after))
         out.append((c * eps(parity, d), blocks))
     return out
-
-
-def tall_support(terms) -> int:
-    """How many tall forests tall_terms lists for the terms, without listing
-    them: 2^(size - depth of the minimum) per block, multiplied."""
-    return sum(2 ** sum(b.size - b.depth for b in blocks) for _, blocks in terms)
 
 
 def compose(b1, i: int, b2, d: int) -> LinCombo:

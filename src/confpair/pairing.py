@@ -62,8 +62,8 @@ import numpy as np
 from .errors import ValidationError, VerificationFailure
 from .graphs import Graph, graph_of_ordered_partition
 from .lincombo import LinCombo
-from .trees import (Forest, check_degree, forest_of_ordered_partition, inversion_parity,
-                    ordered_partitions)
+from .trees import (Forest, _common_prefix, check_degree, forest_of_ordered_partition,
+                    inversion_parity, ordered_partitions)
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,7 @@ def pair_basis(g: Graph, f: Forest, d: int) -> PairingResult:
         tj, pj = leaf_info[j]
         if ti != tj:
             return PairingResult(0)
-        c = 0
-        while c < len(pi) and c < len(pj) and pi[c] == pj[c]:
-            c += 1
+        c = _common_prefix(pi, pj)
         verts.append((ti, pi[:c]))
         if pi[c] == 1:  # leaf i over the right edge of the nadir
             sigma = -sigma

@@ -78,6 +78,11 @@ class Tree:
         return len(self.leaf_seq) - 1
 
     @property
+    def depth(self):
+        """Depth of the minimum leaf."""
+        return len(self.leaf_paths[self.min_label])
+
+    @property
     def vertex_paths(self):
         """Paths of internal vertices, in the in-order total order.
 

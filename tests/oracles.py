@@ -12,7 +12,7 @@ normalize.anti_sign, and the cyclic Jacobi relation reads
 
 For odd d these reduce to the classical unsigned identities.
 
-Graph rewriting.  normalize_graph reads each long coefficient as a sign as
+Graph rewriting.  normalize_siop reads each long coefficient as a sign as
 well; the reference here rewrites instead (rewrite_graph), from an
 orientation walk of its own (_orient_from_minima), not normalize's:
 repeated vertex pairs and cycles die; arrow reversal costs (-1)^d per arrow
@@ -21,7 +21,7 @@ a_jk a_kl + a_kl a_lj + a_lj a_jk = 0 eliminates branch vertices.  Each
 Arnold step pushes a subtree one level deeper, so the depth-sum measure
 terminates at disjoint chains, which are then ordered canonically.  Its
 correctness is certified by the pairing, not by a critical-pair analysis.
-normalize_graph reads each long term's edges and sign off its walk; the
+normalize_siop reads each long term's edges and sign off its walk; the
 route it replaced builds each term from its vertex orders instead
 (long_terms_by_partition): an OrderedPartition, graph_of_ordered_partition,
 and the inversion parity of g's heads at their comb vertices.
@@ -221,7 +221,7 @@ def _orient_from_minima(g: Graph):
 
 
 def rewrite_graph(g: Graph, d: int) -> LinCombo:
-    """Rewrite one graph into the long basis (the reference for normalize_graph)."""
+    """Rewrite one graph into the long basis (the reference for normalize_siop)."""
     oriented = _orient_from_minima(g)
     if oriented is None:
         return LinCombo.zero()
@@ -265,7 +265,7 @@ def _vertex_orders(root, children):
 
 
 def long_terms_by_partition(g: Graph, d: int) -> LinCombo:
-    """normalize_graph's terms built one vertex order P at a time, the route
+    """normalize_siop's terms for g built one vertex order P at a time, the route
     that its walk replaced: the long graph through OrderedPartition and
     graph_of_ordered_partition, and the sign from the inversion parity of
     g's heads' comb vertices (the edge into v pairs with the comb vertex

@@ -14,7 +14,7 @@ import confpair.cli
 from confpair.cli import SIZE_BUDGET, _combo_json, _compact, _json_order, main
 from confpair.graphs import Graph, graph_to_json, parse_graph
 from confpair.lincombo import LinCombo
-from confpair.normalize import _long_support_size, _support_size
+from confpair.normalize import long_support, tall_support
 from confpair.pairing import pair_basis, poincare_coefficients, verify_perfect
 from confpair.trees import Forest, forest_to_json, parse_forest
 
@@ -390,15 +390,15 @@ def test_deepest_admitted_nesting_still_runs(capsys):
 def test_size_budget_boundary_of_duality_and_the_tall_expansion():
     """8-leaf duality and the 17-leaf right comb fit; 9 leaves and 18 do not."""
     assert factorial(8) * 8 <= SIZE_BUDGET < factorial(9) * 9
-    assert _support_size(parse_forest(right_comb(17))) * 17 <= SIZE_BUDGET
-    assert _support_size(parse_forest(right_comb(18))) * 18 > SIZE_BUDGET
+    assert tall_support([(1, parse_forest(right_comb(17)).trees)]) * 17 <= SIZE_BUDGET
+    assert tall_support([(1, parse_forest(right_comb(18)).trees)]) * 18 > SIZE_BUDGET
 
 
 def test_size_budget_boundary_of_the_long_expansion():
     """The 9-vertex star fits, but not three times over; 10 vertices do not."""
-    assert _long_support_size(parse_graph(star(9))) * 9 <= SIZE_BUDGET
-    assert 3 * _long_support_size(parse_graph(star(9))) * 9 > SIZE_BUDGET
-    assert _long_support_size(parse_graph(star(10))) * 10 > SIZE_BUDGET
+    assert long_support(parse_graph(star(9))) * 9 <= SIZE_BUDGET
+    assert 3 * long_support(parse_graph(star(9))) * 9 > SIZE_BUDGET
+    assert long_support(parse_graph(star(10))) * 10 > SIZE_BUDGET
 
 
 @pytest.mark.parametrize("outer, inner, verdict", [

@@ -4,18 +4,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from confpair.brackets import _block
 from confpair.errors import ValidationError
 from confpair.graphs import (Graph, enumerate_long_graphs, graph_of_ordered_partition,
                              ordered_partition_of_graph, parse_graph, render_graph)
 from confpair.lincombo import LinCombo
-from confpair.normalize import (_long_support_size, _support_size, _tall_chains, anti_sign,
-                                eps, normalize_graph, normalize_pois, normalize_siop)
+from confpair.normalize import (_tall_chains, anti_sign, eps, long_support, normalize_pois,
+                                normalize_siop, tall_support)
 from confpair.pairing import pair, pair_basis
 from confpair.trees import (Forest, OrderedPartition, Tree, enumerate_tall_forests,
                             forest_of_ordered_partition, parse_forest, render_forest)
 
-from conftest import (all_forests, all_tree_nodes, random_forest, random_graph_edges,
-                      random_tree_node, set_partitions)
+from conftest import (all_forests, all_tree_nodes, leaf_depths, random_forest,
+                      random_graph_edges, random_tree_node, set_partitions)
 from oracles import PlanarForest, long_terms_by_partition, normalize_forest, rewrite_graph
 
 
@@ -171,7 +172,7 @@ def test_anti_sign_symmetry():
 
 def test_normalize_graph_empty():
     g = Graph(3, ())
-    assert normalize_graph(g, 2) == LinCombo.single(g)
+    assert normalize_siop(g, 2) == LinCombo.single(g)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +253,19 @@ def test_right_comb_support_is_output_sized(n):
         assert all(key.is_tall and key.size == n - 1 for key, _ in out)
 
 
+def test_trees_and_leibniz_blocks_share_one_record():
+    # sorting, the tall chains and tall_support read node, min_label, size, depth
+    nodes = 0
+    for n in range(1, 7):
+        for node in all_tree_nodes(range(1, n + 1)):
+            t, block = Tree(node), _block(node, int)
+            assert block.node == t.node, node
+            assert (block.min_label, block.size, block.depth) == (t.min_label, t.size, t.depth)
+            assert t.depth == dict(leaf_depths(node))[t.min_label], node
+            nodes += 1
+    assert nodes == 1 + 2 + 12 + 120 + 1680 + 30240
+
+
 def test_support_size_counts_the_listed_chains():
     rng = random.Random(11)
     forests = [f for n in range(1, 6) for f in all_forests(n)]
@@ -262,7 +276,7 @@ def test_support_size_counts_the_listed_chains():
             if not f.is_tall:
                 for t in f.trees:
                     listed *= len(_tall_chains(t, d))
-            assert _support_size(f) == listed, (f, d)
+            assert tall_support([(1, f.trees)]) == listed, (f, d)
 
 
 def dual_pairing(blocks, f, d):
@@ -295,13 +309,13 @@ def test_normalize_pois_coefficients_match_the_pairing_on_planar_forests(d):
         f = PlanarForest(tuple(Tree(random_tree_node(rng, labels[a:b]))
                                for a, b in zip(bounds, bounds[1:])), n)
         out = normalize_pois(f, d)
-        assert len(out) == _support_size(f)
+        assert len(out) == tall_support([(1, f.trees)])
         for key, c in out:
             assert c == dual_pairing(tuple(t.leaf_seq for t in key.trees), f, d), (f, key)
 
 
 # ---------------------------------------------------------------------------
-# normalize_graph against the rewriting engine it replaced
+# normalize_siop on one graph against the rewriting engine it replaced
 
 def small_edge_words():
     """Every edge word with n <= 4 vertices and k <= 4 edges."""
@@ -316,9 +330,9 @@ def test_normalize_graph_matches_rewriting_on_every_small_word():
     words = 0
     for g in small_edge_words():
         for d in (2, 3):
-            out = normalize_graph(g, d)
+            out = normalize_siop(g, d)
             assert out == rewrite_graph(g, d), (g, d)
-        assert _long_support_size(g) == len(out), g
+        assert long_support(g) == len(out), g
         words += 1
     assert words == 24208
 
@@ -353,10 +367,10 @@ def graph_words(draw):
 @settings(max_examples=150, deadline=None)
 @given(graph_words(), st.sampled_from((2, 3)))
 def test_normalize_graph_matches_rewriting(g, d):
-    out = normalize_graph(g, d)
+    out = normalize_siop(g, d)
     assert out == rewrite_graph(g, d)
     assert all(key.is_long for key, _ in out)
-    assert _long_support_size(g) == len(out)
+    assert long_support(g) == len(out)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -365,7 +379,7 @@ def test_long_coefficients_are_dual_pairings(d):
     for _ in range(100):
         n = rng.randint(2, 7)
         g = Graph(n, random_graph_edges(rng, n, rng.randint(0, n - 1)))
-        for h, c in normalize_graph(g, d):
+        for h, c in normalize_siop(g, d):
             dual = forest_of_ordered_partition(ordered_partition_of_graph(h), n)
             assert pair_basis(g, dual, d).value == c, (g, h)
 
@@ -377,7 +391,7 @@ def test_reversed_long_chain_normalizes_without_recursion(d):
     chain = Graph(1000, tuple((i, i + 1) for i in range(1, 1000)))
     # 999 reversals, and the edge order reversed: 999 * 998 / 2 inversions
     sign = (-1) ** (999 * d) * eps(999 * 998 // 2, d)
-    assert normalize_graph(g, d) == LinCombo.single(chain, sign)
+    assert normalize_siop(g, d) == LinCombo.single(chain, sign)
 
 
 def test_long_support_size_counts_the_listed_chains():
@@ -399,11 +413,11 @@ def test_long_support_size_counts_the_listed_chains():
     assert len(graphs) == 1 + 2 + 7 + 38 + 291  # forests on n labeled vertices
     graphs += [random_forest_graph(rng, rng.randint(6, 10)) for _ in range(200)]
     for g in graphs:
-        assert _long_support_size(g) == len(normalize_graph(g, 2)), g
+        assert long_support(g) == len(normalize_siop(g, 2)), g
 
 
 # ---------------------------------------------------------------------------
-# normalize_graph against the partition route its walk replaced
+# normalize_siop on one graph against the partition route its walk replaced
 
 def seeded_forest_graphs():
     """200 forest graphs on n = 6..9 vertices with 1 to 4 components."""
@@ -419,7 +433,7 @@ def seeded_forest_graphs():
 def test_normalize_graph_matches_the_partition_route_on_every_small_word():
     for g in small_edge_words():
         for d in (2, 3, 4, 5):
-            assert list(normalize_graph(g, d)) == list(long_terms_by_partition(g, d)), (g, d)
+            assert list(normalize_siop(g, d)) == list(long_terms_by_partition(g, d)), (g, d)
 
 
 def test_normalize_graph_matches_the_partition_route_on_seeded_forests():
@@ -428,14 +442,14 @@ def test_normalize_graph_matches_the_partition_route_on_seeded_forests():
     assert {g.n for g in graphs} == {6, 7, 8, 9}
     for g in graphs:
         for d in (2, 3):
-            assert list(normalize_graph(g, d)) == list(long_terms_by_partition(g, d)), (g, d)
+            assert list(normalize_siop(g, d)) == list(long_terms_by_partition(g, d)), (g, d)
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_the_empty_graph_is_its_own_long_term(d):
     empty = Graph(0, ())
-    assert list(normalize_graph(empty, d)) == list(long_terms_by_partition(empty, d))
-    assert normalize_graph(empty, d) == normalize_siop(empty, d) == LinCombo.single(empty)
+    assert list(normalize_siop(empty, d)) == list(long_terms_by_partition(empty, d))
+    assert normalize_siop(empty, d) == LinCombo.single(empty)
 
 
 @pytest.mark.parametrize("d, sign", [(2, -1), (3, 1)])

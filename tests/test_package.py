@@ -17,6 +17,16 @@ def imported_modules(path):
             yield from (f"{node.module or ''}.{alias.name}" for alias in node.names)
 
 
+def definitions():
+    """name -> the modules that define a class or function of that name."""
+    defined = {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                defined.setdefault(node.name, []).append(path.name)
+    return defined
+
+
 def test_the_package_never_imports_the_test_oracles():
     assert len(SOURCES) >= 12
     for path in SOURCES:
@@ -84,13 +94,26 @@ def test_the_cli_reads_gram_blocks_through_the_public_api():
     assert "gram_matrix" in names and not [n for n in names if n.startswith("_")], names
 
 
+def test_the_cli_imports_no_private_name():
+    # cli.py reads every module of the package through its public names
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    names = list(imported_modules(path))
+    assert not [n for n in names if n.rsplit(".", 1)[-1].startswith("_")], names
+    assert "normalize.tall_support" in names, names
+
+
+def test_normalize_alone_sizes_its_expansions():
+    # one count per basis, next to the expansion it counts
+    defined = definitions()
+    gone = defined.keys() & {"_support_size", "_long_support_size", "normalize_graph"}
+    assert not gone, gone
+    counts = [defined.get("tall_support"), defined.get("long_support")]
+    assert counts == [["normalize.py"]] * 2, counts
+
+
 def test_composition_takes_its_leibniz_step_from_brackets():
     # one graded-Leibniz step: the block type and the step live in brackets.py
-    defined = {}
-    for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
-                defined.setdefault(node.name, []).append(path.name)
+    defined = definitions()
     assert defined["_Block"] == ["brackets.py"], defined["_Block"]
     assert defined["_bracket_monomials"] == ["brackets.py"], defined["_bracket_monomials"]
     operad = {name for name, paths in defined.items() if "operad.py" in paths}
