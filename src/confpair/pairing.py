@@ -15,10 +15,13 @@ sign-permutation torus map realized by the planetary systems.
 
 Gram matrices over the long-graph x tall-forest bases, the Poincare
 polynomial rank table, and the perfect-pairing verifier live here too.
-Gram entries come from one batch kernel, pair_matrix; pair_basis, one
-entry per call, stays as its oracle.  A Gram block is a GramMatrix whose
-entries are the int8 array that kernel fills; verify_perfect and the CLI
-read their verdicts off it with GramMatrix.failures.
+Batch entries come from one array core, _pair_block, which pairs edge-end
+arrays against flat nadir and side tables; pair_matrix feeds it what it
+reads off Graph and Forest objects, and gram_matrix what the comb lemma
+below reads off the ordered partitions, with no object built.  pair_basis,
+one entry per call, stays as the oracle of both.  A Gram block is a
+GramMatrix whose entries are the int8 array the core fills; verify_perfect
+and the CLI read their verdicts off it with GramMatrix.failures.
 
 Block lemma: <g, F> = 0 unless the components of g and the trees of F
 partition {1..n} the same way.  It holds for every graph g.  A nonzero
@@ -50,6 +53,21 @@ and degree k has s(n, n-k) rows.  That is sum_{m<=n} ((m-1)!)^2 entries in
 place of sum_k c(n, k)^2 (15,018 against 147,552 at n=6).  A T_m off the
 identity sends verify_perfect to the dense route, which names each failing
 entry; both routes refuse an n whose entries pass ENTRY_BUDGET.
+
+Comb lemma: the tables of a tall forest follow from its ordered partition.
+The tall tree of a block (s_0, ..., s_{m-1}) is the left comb
+[[...[s_0, s_1], ...], s_{m-1}], so its leaves sit at places 0..m-1 in
+that order.  In-order alternates leaf and vertex, so vertex a lies between
+the leaves at places a and a+1: it joins the comb over s_0..s_a to s_{a+1},
+at depth m-2-a.  The vertices between the places a < b are a..b-1, and
+since the nesting is deepest first, the shallowest of them, the nadir, is
+b-1.  The forest lists its trees in the partition's order, and each tree
+has one vertex fewer than leaves.  So with the blocks concatenated, the
+leaves at places p < q of block t have global nadir q - t - 1: one is
+subtracted per earlier block, and one for the nadir b-1.  Leaf i lies right
+of leaf j exactly when its place is the later.  The long graph is the chain
+through each block, so its edges are the consecutive pairs inside a block,
+in the order of the places.
 """
 
 from __future__ import annotations
@@ -166,19 +184,9 @@ def pair_matrix(graphs, forests, d: int) -> np.ndarray:
     """The pairing of every graph against every forest, as an int8 array:
     entry (r, c) is pair_basis(graphs[r], forests[c], d).value.
 
-    Each forest is read into its nadir and side tables once; each chunk of
-    forests then gathers the entries of the graphs' edges in one step.  An
-    entry is nonzero when its forest has as many vertices as the graph has
-    edges and the edges' nadirs exist (no -1) and are pairwise distinct.
-    Its sign is the parity of the side bits for odd d and the inversion
-    parity of the nadirs in edge order for even d; the even-d inversions
-    and the distinctness test run over the same k(k-1)/2 pairs of edges.
-
-    An edge-count group whose forests fill more than one chunk is banded
-    by the block lemma (module docstring): rows and columns are sorted by
-    a key of their set partition, and each chunk of columns gathers only
-    the rows whose keys fall in the chunk's key range.  Every other entry
-    joins two partitions and is 0.
+    Each forest is read into its nadir and side tables once, and the graphs
+    are grouped by edge count; _pair_block pairs each group against the
+    forests with as many vertices, and every other entry is 0.
     """
     sizes = {g.n for g in graphs} | {f.n for f in forests}
     if len(sizes) > 1:
@@ -194,37 +202,96 @@ def pair_matrix(graphs, forests, d: int) -> np.ndarray:
         for r, g in enumerate(graphs):
             by_k.setdefault(len(g.edges), []).append(r)
         for k, rows in by_k.items():
-            rows = np.array(rows)
             ends = np.array([graphs[r].edges for r in rows], dtype=np.intp).reshape(len(rows), k, 2)
             cols = np.flatnonzero(f_sizes == k)
-            starts = range(0, len(cols), _CHUNK)
-            bands = [(0, len(rows))]
-            if len(cols) > _CHUNK:
-                r_key = _partition_keys(_graph_labels(ends, width))
-                c_key = _partition_keys(_forest_labels(nadirs[cols], width))
-                r_order, c_order = np.argsort(r_key), np.argsort(c_key)
-                rows, ends, r_key = rows[r_order], ends[r_order], r_key[r_order]
-                cols, c_key = cols[c_order], c_key[c_order]
-                last = np.minimum(np.array(starts) + _CHUNK, len(cols)) - 1
-                bands = zip(np.searchsorted(r_key, c_key[starts], side="left"),
-                            np.searchsorted(r_key, c_key[last], side="right"))
-            edges = (ends[:, :, 0] * width + ends[:, :, 1]).T  # (k, rows)
-            # one row per leaf pair, so a chunk's columns are contiguous
-            vert_table, side_table = nadirs[cols].T.copy(), sides[cols].T.copy()
-            for lo, (a, b) in zip(starts, bands):
-                verts = vert_table[:, lo:lo + _CHUNK][edges[:, a:b]]  # (k, band rows, forests)
-                bijective = (verts >= 0).all(axis=0)
-                if d % 2:
-                    odd = np.bitwise_xor.reduce(side_table[:, lo:lo + _CHUNK][edges[:, a:b]])
-                else:
-                    odd = np.zeros(bijective.shape, dtype=np.int8)
-                for i in range(k):
-                    for j in range(i + 1, k):
-                        bijective &= verts[i] != verts[j]
-                        if not d % 2:
-                            odd ^= verts[i] > verts[j]
-                out[np.ix_(rows[a:b], cols[lo:lo + _CHUNK])] = bijective * (1 - 2 * odd)
+            out[np.ix_(rows, cols)] = _pair_block(ends, nadirs[cols], sides[cols], width, d)
     return out
+
+
+def _pair_block(ends, nadirs, sides, width, d):
+    """The int8 block of one edge-count group: graphs given by their
+    (rows, k, 2) edge ends, against forests with k vertices given by their
+    flat nadir and side tables, one row per forest, read at i*width+j.
+
+    Each chunk of forests gathers the entries of the graphs' edges in one
+    step.  An entry is nonzero when the edges' nadirs exist (no -1) and are
+    pairwise distinct.  Its sign is the parity of the side bits for odd d
+    and the inversion parity of the nadirs in edge order for even d; the
+    even-d inversions and the distinctness test run over the same k(k-1)/2
+    pairs of edges.
+
+    When the forests fill more than one chunk the block is banded by the
+    block lemma (module docstring): rows and columns are sorted by a key of
+    their set partition, and each chunk of columns gathers only the rows
+    whose keys fall in the chunk's key range.  Every other entry joins two
+    partitions and is 0.
+    """
+    banded = len(nadirs) > _CHUNK
+    if banded:
+        r_key = _partition_keys(_graph_labels(ends, width))
+        c_key = _partition_keys(_forest_labels(nadirs, width))
+        rows, cols = np.argsort(r_key), np.argsort(c_key)
+        ends, r_key, c_key = ends[rows], r_key[rows], c_key[cols]
+        nadirs, sides = nadirs[cols], sides[cols]
+    edges = (ends[:, :, 0] * width + ends[:, :, 1]).T  # (k, rows)
+    # one row per leaf pair, so a chunk's columns are contiguous
+    vert_table, side_table = nadirs.T.copy(), sides.T.copy()
+    if not banded:
+        return _chunk_entries(edges, vert_table, side_table, d)
+    block = np.zeros((len(ends), len(nadirs)), dtype=np.int8)
+    starts = range(0, len(cols), _CHUNK)
+    last = np.minimum(np.array(starts) + _CHUNK, len(cols)) - 1
+    bands = zip(np.searchsorted(r_key, c_key[starts], side="left"),
+                np.searchsorted(r_key, c_key[last], side="right"))
+    for lo, (a, b) in zip(starts, bands):
+        chunk = slice(lo, lo + _CHUNK)
+        block[np.ix_(rows[a:b], cols[chunk])] = _chunk_entries(
+            edges[:, a:b], vert_table[:, chunk], side_table[:, chunk], d)
+    return block
+
+
+def _chunk_entries(edges, vert_table, side_table, d):
+    """The int8 entries of the graphs whose (k, rows) edge indices are
+    edges against the forests whose tables, one row per leaf pair, are
+    vert_table and side_table."""
+    verts = vert_table[edges]  # (k, rows, forests)
+    bijective = (verts >= 0).all(axis=0)
+    if d % 2:
+        odd = np.bitwise_xor.reduce(side_table[edges])
+    else:
+        odd = np.zeros(bijective.shape, dtype=np.int8)
+    for i in range(len(edges)):
+        for j in range(i + 1, len(edges)):
+            bijective &= verts[i] != verts[j]
+            if not d % 2:
+                odd ^= verts[i] > verts[j]
+    return bijective * (1 - 2 * odd)
+
+
+def _partition_arrays(parts, n):
+    """The edge ends of the long graphs of parts, ordered partitions of
+    1..n into equally many blocks, and the flat nadir and side tables of
+    their tall forests, in closed form by the comb lemma (module docstring):
+    row c of each is what pair_matrix reads off the objects of parts[c]."""
+    width, count = n + 1, len(parts)
+    order = np.array([x for p in parts for b in p.blocks for x in b], dtype=np.intp)
+    order = order.reshape(count, n)
+    lengths = np.array([len(b) for p in parts for b in p.blocks])
+    first = np.zeros(count * n, dtype=bool)  # the places that start a block
+    first[np.cumsum(lengths) - lengths] = True
+    first = first.reshape(count, n)
+    block = np.cumsum(first, axis=1) - 1
+    at, pos = np.nonzero(~first[:, 1:])  # the edge (order[pos], order[pos+1])
+    ends = np.stack([order[at, pos], order[at, pos + 1]], axis=-1).reshape(count, -1, 2)
+    small = np.min_scalar_type(-width)
+    place, tree = np.full((count, width), -1, dtype=small), np.full((count, width), -1, dtype=small)
+    row = np.arange(count)[:, None]
+    place[row, order], tree[row, order] = np.arange(n), block
+    p, q, t = place[:, :, None], place[:, None, :], tree[:, :, None]
+    same = (t == tree[:, None, :]) & (p != q)
+    nadirs = np.where(same, np.maximum(p, q) - t - 1, -1).astype(small, copy=False)
+    sides = (same & (p > q)).astype(np.int8)
+    return ends, nadirs.reshape(count, -1), sides.reshape(count, -1)
 
 
 def pair(g, f, d: int) -> int:
@@ -252,14 +319,23 @@ class GramMatrix:
     k: int
     parity: str  # "even" | "odd"
     entries: np.ndarray  # int8; rows: long graphs, cols: tall forests, canonical order
-    graphs: list = field(default=None, repr=False)
-    forests: list = field(default=None, repr=False)
+    partitions: list = field(repr=False)  # row and column i come from partitions[i]
+
+    @property
+    def graphs(self):
+        """The long graphs of the rows, built on each read."""
+        return [graph_of_ordered_partition(p, self.n) for p in self.partitions]
+
+    @property
+    def forests(self):
+        """The tall forests of the columns, built on each read."""
+        return [forest_of_ordered_partition(p, self.n) for p in self.partitions]
 
     def __eq__(self, other):
         if not isinstance(other, GramMatrix):
             return NotImplemented
-        return ((self.n, self.k, self.parity, self.graphs, self.forests)
-                == (other.n, other.k, other.parity, other.graphs, other.forests)
+        return ((self.n, self.k, self.parity, self.partitions)
+                == (other.n, other.k, other.parity, other.partitions)
                 and np.array_equal(self.entries, other.entries))
 
     @property
@@ -283,22 +359,25 @@ def parity_name(d: int) -> str:
 def gram_matrix(n: int, k: int, d: int, pair_fn=None) -> GramMatrix:
     """Pairing matrix over enumerate_long_graphs x enumerate_tall_forests.
 
-    Row and column i are built from the same ordered partition, walked
-    once, so both are in canonical order and the Kronecker property of the
-    pairing makes this the identity.  The entries are pair_matrix's, or one
-    pair_fn call per entry, where a value out of int8 range raises.
+    Row and column i come from the same ordered partition, walked once, so
+    both are in canonical order and the Kronecker property of the pairing
+    makes this the identity.  The entries are the array core's, fed the
+    arrays _partition_arrays reads off the partitions, so no Graph, Tree or
+    Forest is built; or one pair_fn call per entry on the built bases, where
+    a value out of int8 range raises.
     """
     parts = list(ordered_partitions(n, k))
-    graphs = [graph_of_ordered_partition(p, n) for p in parts]
-    forests = [forest_of_ordered_partition(p, n) for p in parts]
     if pair_fn is None:
-        block = pair_matrix(graphs, forests, d)
+        ends, nadirs, sides = _partition_arrays(parts, n)
+        block = _pair_block(ends, nadirs, sides, n + 1, d)
     else:
+        graphs = [graph_of_ordered_partition(p, n) for p in parts]
+        forests = [forest_of_ordered_partition(p, n) for p in parts]
         block = np.zeros((len(graphs), len(forests)), dtype=np.int8)
         for r, g in enumerate(graphs):
             for c, f in enumerate(forests):
                 block[r, c] = pair_fn(g, f, d).value
-    return GramMatrix(n, k, parity_name(d), block, graphs, forests)
+    return GramMatrix(n, k, parity_name(d), block, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +529,9 @@ def _dense_report(n, d, pair_fn):
         degrees.append(DegreeReport(k, gm.size, not failures, failures))
         if k == 1:
             # row r and column r come from one ordered partition, so the
-            # edge order of the rows re-indexes both
-            lex = sorted(range(gm.size), key=lambda r: gm.graphs[r].edges)
+            # order of its one edge, its block of two, re-indexes both
+            edge = [next(b for b in p.blocks if len(b) == 2) for p in gm.partitions]
+            lex = sorted(range(gm.size), key=edge.__getitem__)
             rank = {r: p for p, r in enumerate(lex)}
             first = DegreeReport(1, gm.size, not failures,
                                  sorted((rank[r], rank[c], v) for r, c, v in failures))

@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confpair.errors import ValidationError
-from confpair.graphs import Graph, enumerate_long_graphs, parse_graph
+from confpair.graphs import Graph, enumerate_long_graphs, graph_of_ordered_partition, parse_graph
 from confpair import pairing
 from confpair.lincombo import LinCombo
 from confpair.cli import main
 from confpair.pairing import (GramMatrix, PairingResult, gram_matrix, pair, pair_basis,
                               pair_matrix, poincare_coefficients, rank_table, verify_perfect)
-from confpair.trees import Forest, Tree, enumerate_tall_forests, parse_forest
+from confpair.pairing import _pair_block as pair_block
+from confpair.trees import (Forest, Tree, enumerate_tall_forests, forest_of_ordered_partition,
+                            ordered_partitions, parse_forest)
 
 from conftest import all_forests, basis_count_oracle, random_tree_node
 from oracles import PlanarForest, first_degree_bases
@@ -172,10 +174,11 @@ def test_verify_perfect_pair_fn_path_matches_the_gram_path(n, d):
     assert verify_perfect(n, d, pair_fn=pair_basis) == verify_perfect(n, d)
 
 
-def flip_two_edge_rows(graphs, forests, d):
-    """pair_matrix with the sign of every 2-edge graph's row flipped."""
-    block = pair_matrix(graphs, forests, d)
-    block[[len(g.edges) == 2 for g in graphs]] *= -1
+def flip_two_edge_rows(ends, nadirs, sides, width, d):
+    """The array core with the sign of every 2-edge graph's row flipped."""
+    block = pair_block(ends, nadirs, sides, width, d)
+    if ends.shape[1] == 2:
+        block *= -1
     return block
 
 
@@ -187,8 +190,8 @@ def flip_two_edges(g, f, d):
 
 def test_verify_perfect_reads_each_degree_off_one_gram_matrix(monkeypatch):
     """Both paths take each degree's verdict from GramMatrix.failures, and the
-    default path looks pair_matrix up when it is called."""
-    monkeypatch.setattr("confpair.pairing.pair_matrix", flip_two_edge_rows)
+    default path looks the array core up when it is called."""
+    monkeypatch.setattr("confpair.pairing._pair_block", flip_two_edge_rows)
     assert not verify_perfect(3, 2).ok
     assert verify_perfect(3, 2, pair_fn=pair_basis).ok
     monkeypatch.setattr(GramMatrix, "failures", lambda self: [])
@@ -220,11 +223,11 @@ def test_verify_perfect_names_first_degree_failures():
 def test_verify_perfect_builds_one_block_per_degree(monkeypatch):
     calls = []
 
-    def counted(graphs, forests, d):
-        calls.append(len(graphs))
-        return pair_matrix(graphs, forests, d)
+    def counted(ends, nadirs, sides, width, d):
+        calls.append(len(ends))
+        return pair_block(ends, nadirs, sides, width, d)
 
-    monkeypatch.setattr(pairing, "pair_matrix", counted)
+    monkeypatch.setattr(pairing, "_pair_block", counted)
     for n in range(1, 7):
         for d in (2, 3):
             for exhaustive, rows in ((False, [math.factorial(m - 1) for m in range(1, n + 1)]),
@@ -252,15 +255,17 @@ def corrupted_entries(n):
     return out
 
 
-def corrupt_the_kernel(monkeypatch, spots):
-    """pair_matrix with each spot's entry replaced, wherever the spot's pair lands."""
-    def corrupted(graphs, forests, d):
-        block = pair_matrix(graphs, forests, d)
-        for (g, f), v in spots.items():
-            if g in graphs and f in forests:
-                block[graphs.index(g), forests.index(f)] = v
+def corrupt_the_kernel(monkeypatch, n):
+    """The array core with the entry of each spot inside a Gram block of n
+    replaced: Gram blocks reach it whole, rows and columns in canonical order."""
+    def corrupted(ends, nadirs, sides, width, d):
+        block = pair_block(ends, nadirs, sides, width, d)
+        if width == n + 1:
+            for k, r, c, v in SPOTS:
+                if k == ends.shape[1] and r < len(ends) and c < len(nadirs):
+                    block[r, c] = v
         return block
-    monkeypatch.setattr(pairing, "pair_matrix", corrupted)
+    monkeypatch.setattr(pairing, "_pair_block", corrupted)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -273,7 +278,7 @@ def test_a_corrupted_kernel_fails_as_the_same_corruption_per_entry_does(monkeypa
     for d in (2, 3):
         by_entry = verify_perfect(n, d, pair_fn=corrupted_entry)
         with monkeypatch.context() as m:
-            corrupt_the_kernel(m, spots)
+            corrupt_the_kernel(m, n)
             by_kernel = verify_perfect(n, d)
             grams = [gram_matrix(n, k, d).failures() for k in range(n)]
         assert by_kernel.degrees == by_entry.degrees
@@ -288,7 +293,7 @@ def test_a_corrupted_kernel_fails_as_the_same_corruption_per_entry_does(monkeypa
 
 
 def test_verify_json_prints_the_failures_of_a_corrupted_kernel(capsys, monkeypatch):
-    corrupt_the_kernel(monkeypatch, corrupted_entries(5))
+    corrupt_the_kernel(monkeypatch, 5)
     report = verify_perfect(5, 2)
     assert main(["verify", "--n", "5", "--d", "2", "--format", "json"]) == 3
     out = capsys.readouterr()
@@ -303,7 +308,7 @@ def test_verify_json_prints_the_failures_of_a_corrupted_kernel(capsys, monkeypat
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_gram_reads_its_verdict_off_a_corrupted_kernel(capsys, monkeypatch, fmt):
     """`gram` prints the kernel's block and exits 3 on it."""
-    corrupt_the_kernel(monkeypatch, corrupted_entries(5))
+    corrupt_the_kernel(monkeypatch, 5)
     assert main(["gram", "--n", "5", "--k", "2", "--d", "2", "--format", fmt]) == 3
     out = capsys.readouterr()
     assert out.err == "verification failure: Gram matrix n=5 k=2 is not the identity\n"
@@ -318,13 +323,15 @@ def test_gram_reads_its_verdict_off_a_corrupted_kernel(capsys, monkeypatch, fmt)
     assert (len(rows), rows[1][1], rows[0][2], rows[0][0]) == (35, 0, -1, 1)
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_gram_matrix_entries_are_the_kernels_int8_block(n):
+    # the array route against the object route and the per-entry oracle
     for k in range(n):
-        for d in (2, 3):
+        for d in range(2, 6):
             gm = gram_matrix(n, k, d)
             assert type(gm.entries) is np.ndarray and gm.entries.dtype == np.int8
             assert np.array_equal(gm.entries, pair_matrix(gm.graphs, gm.forests, d))
+            assert np.array_equal(gm.entries, gram_matrix(n, k, d, pair_fn=pair_basis).entries)
             flipped = dataclasses.replace(gm, entries=-gm.entries)
             failures = flipped.failures()
             assert failures == [(r, r, -1) for r in range(gm.size)]
@@ -479,7 +486,7 @@ def test_a_relabelling_invariant_corruption_fails_the_factorized_route(monkeypat
             assert [bool(r.failures) for r in rep.degrees] == [k == 2 for k in range(n)]
             assert not rep.ok
             with monkeypatch.context() as m:
-                m.setattr(pairing, "pair_matrix", flip_two_edge_rows)
+                m.setattr(pairing, "_pair_block", flip_two_edge_rows)
                 assert verify_perfect(n, d) == rep
 
 
@@ -504,11 +511,11 @@ def test_verify_n8_stops_at_a_corrupted_top_degree_block(capsys, monkeypatch, fm
     --n 8` stops at T_3 with one line naming it and its first bad entry."""
     sizes = []
 
-    def counted(graphs, forests, d):
-        sizes.append(len(graphs))
-        return flip_two_edge_rows(graphs, forests, d)
+    def counted(ends, nadirs, sides, width, d):
+        sizes.append(len(ends))
+        return flip_two_edge_rows(ends, nadirs, sides, width, d)
 
-    monkeypatch.setattr(pairing, "pair_matrix", counted)
+    monkeypatch.setattr(pairing, "_pair_block", counted)
     assert main(["verify", "--n", "8", "--d", "2", "--format", fmt]) == 3
     out = capsys.readouterr()
     assert out.out == ""
@@ -670,3 +677,50 @@ def test_pair_matrix_edge_cases():
         assert pair_matrix([], [], d).tolist() == []
     with pytest.raises(ValidationError):
         pair_matrix([Graph(2, ())], forests, 2)
+
+
+# ---------------------------------------------------------------------------
+# the array route: gram_matrix's tables in closed form, no objects built
+
+def test_comb_tables_equal_the_forest_tables_on_every_tall_forest():
+    checked = 0
+    for n in range(1, 7):
+        for k in range(n):
+            parts = list(ordered_partitions(n, k))
+            ends, nadirs, sides = pairing._partition_arrays(parts, n)
+            assert ends.shape == (len(parts), k, 2)
+            for p, e, nadir, side in zip(parts, ends.tolist(), nadirs.tolist(), sides.tolist()):
+                assert (nadir, side) == pairing._forest_tables(forest_of_ordered_partition(p, n))
+                assert tuple(map(tuple, e)) == graph_of_ordered_partition(p, n).edges
+                checked += 1
+    assert checked == sum(math.factorial(n) for n in range(1, 7))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_the_array_route_equals_the_object_route_at_n7(d):
+    for k in range(7):
+        gm = gram_matrix(7, k, d)
+        assert np.array_equal(gm.entries, pair_matrix(gm.graphs, gm.forests, d))
+
+
+def test_gram_blocks_build_no_graph_tree_or_forest(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"a {type(self).__name__} was built")
+
+    blocks = {}
+    with monkeypatch.context() as m:
+        for cls in (Graph, Tree, Forest):
+            m.setattr(cls, "__post_init__", refuse)
+        with pytest.raises(AssertionError):
+            Tree(1)  # the patch is live
+        for d in (2, 3):
+            for k in range(6):
+                blocks[k, d] = gram_matrix(6, k, d)
+            assert verify_perfect(6, d).ok
+    for (k, d), gm in blocks.items():
+        assert gm.is_identity()
+        assert gm.graphs == enumerate_long_graphs(6, k)
+        assert gm.forests == enumerate_tall_forests(6, k)
+        flipped = dataclasses.replace(gm, entries=-gm.entries)
+        assert flipped.partitions is gm.partitions and flipped != gm
+        assert flipped.failures() == [(r, r, -1) for r in range(gm.size)]
